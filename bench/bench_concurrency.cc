@@ -214,7 +214,8 @@ int main() {
     table.AddRow({std::to_string(readers), TextTable::Fmt(qps, 0),
                   TextTable::Fmt(wops, 0), TextTable::Fmt(seconds, 3),
                   std::to_string(tree.sequence())});
-    std::string tag = "r" + std::to_string(readers);
+    std::string tag = "r";
+    tag += std::to_string(readers);
     json.Add("checksum_" + tag, combined)
         .Add("sequence_" + tag, tree.sequence())
         .Add("queries_per_sec_" + tag, qps)

@@ -138,7 +138,8 @@ int main() {
     table.AddRow({TextTable::Fmt(n), TextTable::Fmt(mean, 1),
                   TextTable::Fmt(static_cast<double>(pow), 0),
                   TextTable::Fmt(std::log2(mean), 3)});
-    std::string tag = "p" + std::to_string(pow);
+    std::string tag = "p";
+    tag += std::to_string(pow);
     json.Add("nodes_" + tag, outcome.total_cost.nodes_visited)
         .Add("items_" + tag, outcome.total_items);
     gate_fields.push_back("nodes_" + tag);

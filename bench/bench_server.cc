@@ -81,7 +81,8 @@ int main() {
                   std::to_string(result.final_size),
                   std::string(checksum_hex)});
 
-    std::string tag = "c" + std::to_string(clients);
+    std::string tag = "c";
+    tag += std::to_string(clients);
     json.Add("requests_" + tag, result.total_requests)
         .Add("notifications_" + tag, result.total_notifications)
         .Add("final_size_" + tag, result.final_size)

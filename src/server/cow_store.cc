@@ -1,79 +1,11 @@
 #include "server/cow_store.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "core/query_model.h"
-#include "query/query.h"
-#include "spatial/census.h"
+#include "server/snapshot_read_view.h"
 #include "util/check.h"
 
 namespace popan::server {
-
-namespace {
-
-/// The single-tree read view: one epoch-pinned SnapshotView. Complete is
-/// a pure function of (snapshot, request) — the serving-time behavior the
-/// whole store abstraction is normed against.
-class CowReadView final : public ReadView {
- public:
-  explicit CowReadView(spatial::SnapshotView2 snapshot)
-      : snapshot_(std::move(snapshot)) {}
-
-  Response Complete(const Request& request) const override {
-    Response response;
-    response.type = ResponseTypeFor(request.type);
-    response.sequence = snapshot_.sequence();
-    if (request.type == MsgType::kCensus) {
-      spatial::Census census = snapshot_.LiveCensus();
-      response.size = snapshot_.size();
-      response.leaf_count = snapshot_.LeafCount();
-      response.max_depth = static_cast<uint32_t>(census.MaxDepth());
-      response.average_occupancy = census.AverageOccupancy();
-      return response;
-    }
-    query::QuerySpec spec;
-    switch (request.type) {
-      case MsgType::kRange:
-        spec = query::QuerySpec::Range(request.box);
-        break;
-      case MsgType::kPartialMatch:
-        spec = query::QuerySpec::PartialMatch(request.axis, request.value);
-        break;
-      default:
-        spec = query::QuerySpec::NearestK(request.point, request.k);
-        break;
-    }
-    query::QueryResult result = query::Execute(snapshot_, spec);
-    response.cost = result.cost;
-    response.points = std::move(result.points);
-    // The serving-time cost estimate rides along with every query
-    // answer: the same census-driven model the offline analysis uses,
-    // evaluated on the pinned version, so a client can compare predicted
-    // against measured work per request.
-    if (request.type != MsgType::kNearestK && snapshot_.size() > 0) {
-      core::QueryCostModel model = core::QueryCostModel::FromCensus(
-          snapshot_.LiveCensus(), snapshot_.bounds());
-      if (request.type == MsgType::kRange) {
-        double qx =
-            std::min(request.box.Extent(0), snapshot_.bounds().Extent(0));
-        double qy =
-            std::min(request.box.Extent(1), snapshot_.bounds().Extent(1));
-        response.predicted_nodes = model.PredictRange(qx, qy).nodes;
-      } else {
-        response.predicted_nodes = model.PredictPartialMatch().nodes;
-      }
-    }
-    return response;
-  }
-
-  uint64_t sequence() const override { return snapshot_.sequence(); }
-
- private:
-  spatial::SnapshotView2 snapshot_;
-};
-
-}  // namespace
 
 CowTreeBackend::CowTreeBackend(const geo::Box2& bounds,
                                const spatial::PrTreeOptions& options,
@@ -123,7 +55,8 @@ StatusOr<std::unique_ptr<const ReadView>> CowTreeBackend::PrepareRead()
   POPAN_ASSIGN_OR_RETURN(spatial::SnapshotView2 snapshot,
                          tree_.TrySnapshot());
   return std::unique_ptr<const ReadView>(
-      std::make_unique<CowReadView>(std::move(snapshot)));
+      std::make_unique<SnapshotReadView<spatial::SnapshotView2>>(
+          std::move(snapshot), tree_.bounds()));
 }
 
 }  // namespace popan::server

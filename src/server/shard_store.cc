@@ -1,76 +1,11 @@
 #include "server/shard_store.h"
 
-#include <algorithm>
 #include <utility>
 
-#include "core/query_model.h"
-#include "query/query.h"
-#include "spatial/census.h"
+#include "server/snapshot_read_view.h"
 #include "util/check.h"
 
 namespace popan::server {
-
-namespace {
-
-/// The sharded read view: a pinned MultiSnapshot. Mirrors CowReadView
-/// field for field — same census-derived summary, same predicted_nodes
-/// clamping — so a client cannot tell the backends apart except through
-/// the cost counters.
-class ShardReadView final : public ReadView {
- public:
-  explicit ShardReadView(shard::MultiSnapshot snapshot)
-      : snapshot_(std::move(snapshot)) {}
-
-  Response Complete(const Request& request) const override {
-    Response response;
-    response.type = ResponseTypeFor(request.type);
-    response.sequence = snapshot_.sequence();
-    if (request.type == MsgType::kCensus) {
-      spatial::Census census = snapshot_.LiveCensus();
-      response.size = snapshot_.size();
-      response.leaf_count = snapshot_.LeafCount();
-      response.max_depth = static_cast<uint32_t>(census.MaxDepth());
-      response.average_occupancy = census.AverageOccupancy();
-      return response;
-    }
-    query::QuerySpec spec;
-    switch (request.type) {
-      case MsgType::kRange:
-        spec = query::QuerySpec::Range(request.box);
-        break;
-      case MsgType::kPartialMatch:
-        spec = query::QuerySpec::PartialMatch(request.axis, request.value);
-        break;
-      default:
-        spec = query::QuerySpec::NearestK(request.point, request.k);
-        break;
-    }
-    query::QueryResult result = shard::Execute(snapshot_, spec);
-    response.cost = result.cost;
-    response.points = std::move(result.points);
-    if (request.type != MsgType::kNearestK && snapshot_.size() > 0) {
-      core::QueryCostModel model = core::QueryCostModel::FromCensus(
-          snapshot_.LiveCensus(), snapshot_.domain());
-      if (request.type == MsgType::kRange) {
-        double qx =
-            std::min(request.box.Extent(0), snapshot_.domain().Extent(0));
-        double qy =
-            std::min(request.box.Extent(1), snapshot_.domain().Extent(1));
-        response.predicted_nodes = model.PredictRange(qx, qy).nodes;
-      } else {
-        response.predicted_nodes = model.PredictPartialMatch().nodes;
-      }
-    }
-    return response;
-  }
-
-  uint64_t sequence() const override { return snapshot_.sequence(); }
-
- private:
-  shard::MultiSnapshot snapshot_;
-};
-
-}  // namespace
 
 ShardStoreBackend::ShardStoreBackend(
     std::unique_ptr<shard::ShardRouter> router)
@@ -93,7 +28,8 @@ StatusOr<std::unique_ptr<const ReadView>> ShardStoreBackend::PrepareRead()
   POPAN_ASSIGN_OR_RETURN(shard::MultiSnapshot snapshot,
                          router_->TrySnapshot());
   return std::unique_ptr<const ReadView>(
-      std::make_unique<ShardReadView>(std::move(snapshot)));
+      std::make_unique<SnapshotReadView<shard::MultiSnapshot>>(
+          std::move(snapshot), router_->domain()));
 }
 
 }  // namespace popan::server

@@ -164,6 +164,16 @@ bool operator==(const Census& a, const Census& b) {
   return true;
 }
 
+Census LiveHistogram::ToCensus() const {
+  Census census;
+  for (size_t d = 0; d < rows_.size(); ++d) {
+    for (size_t occ = 0; occ < rows_[d].size(); ++occ) {
+      census.AddLeaves(occ, d, rows_[d][occ]);
+    }
+  }
+  return census;
+}
+
 std::string Census::ToString() const {
   std::ostringstream os;
   os << "Census{leaves=" << leaf_count_ << ", items=" << item_count_

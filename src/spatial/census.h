@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "numerics/vector.h"
+#include "util/check.h"
 
 namespace popan::spatial {
 
@@ -91,6 +92,36 @@ class Census {
   std::vector<std::vector<uint64_t>> by_depth_;
   uint64_t leaf_count_ = 0;
   uint64_t item_count_ = 0;
+};
+
+/// The live occupancy-by-depth histogram a structure keeps exact through
+/// every mutation: count(depth, occ) = leaves (buckets) at `depth` holding
+/// exactly `occ` items. Each elementary change (an insert into a leaf, a
+/// split, a collapse/merge) moves O(1) counts, so ToCensus() is
+/// O(depths x occupancies) independent of the number of items. Rows and
+/// columns grow on demand and may keep trailing zeros after collapses;
+/// Census equality ignores them, so ToCensus() == TakeCensus(structure)
+/// is the invariant every owner checks.
+class LiveHistogram {
+ public:
+  void Add(size_t depth, size_t occupancy) {
+    if (depth >= rows_.size()) rows_.resize(depth + 1);
+    std::vector<uint64_t>& row = rows_[depth];
+    if (occupancy >= row.size()) row.resize(occupancy + 1, 0);
+    ++row[occupancy];
+  }
+
+  void Remove(size_t depth, size_t occupancy) {
+    POPAN_DCHECK(depth < rows_.size() && occupancy < rows_[depth].size() &&
+                 rows_[depth][occupancy] > 0)
+        << "live census underflow at depth" << depth;
+    --rows_[depth][occupancy];
+  }
+
+  Census ToCensus() const;
+
+ private:
+  std::vector<std::vector<uint64_t>> rows_;
 };
 
 /// Takes the census of any structure exposing

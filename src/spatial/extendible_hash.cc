@@ -13,34 +13,10 @@ ExtendibleHash::ExtendibleHash(const ExtendibleHashOptions& options)
   POPAN_CHECK(options_.max_global_depth <= 60);
   directory_.push_back(0);
   buckets_.push_back(Bucket{});
-  HistAdd(0, 0);
+  live_hist_.Add(0, 0);
 }
 
-void ExtendibleHash::HistAdd(size_t local_depth, size_t occupancy) {
-  if (local_depth >= live_hist_.size()) live_hist_.resize(local_depth + 1);
-  std::vector<uint64_t>& row = live_hist_[local_depth];
-  if (occupancy >= row.size()) row.resize(occupancy + 1, 0);
-  ++row[occupancy];
-}
-
-void ExtendibleHash::HistRemove(size_t local_depth, size_t occupancy) {
-  POPAN_DCHECK(local_depth < live_hist_.size() &&
-               occupancy < live_hist_[local_depth].size() &&
-               live_hist_[local_depth][occupancy] > 0)
-      << "live census underflow at local depth" << local_depth;
-  --live_hist_[local_depth][occupancy];
-}
-
-Census ExtendibleHash::LiveCensus() const {
-  Census census;
-  for (size_t d = 0; d < live_hist_.size(); ++d) {
-    const std::vector<uint64_t>& row = live_hist_[d];
-    for (size_t occ = 0; occ < row.size(); ++occ) {
-      if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-    }
-  }
-  return census;
-}
+Census ExtendibleHash::LiveCensus() const { return live_hist_.ToCensus(); }
 
 uint64_t ExtendibleHash::PseudoKey(uint64_t key) const {
   if (options_.identity_hash) return key;
@@ -69,9 +45,9 @@ Status ExtendibleHash::Insert(uint64_t key) {
     size_t idx = DirIndex(pseudo);
     Bucket& b = buckets_[directory_[idx]];
     if (b.keys.size() < options_.bucket_capacity) {
-      HistRemove(b.local_depth, b.keys.size());
+      live_hist_.Remove(b.local_depth, b.keys.size());
       b.keys.push_back(key);
-      HistAdd(b.local_depth, b.keys.size());
+      live_hist_.Add(b.local_depth, b.keys.size());
       ++size_;
       return Status::OK();
     }
@@ -90,7 +66,7 @@ bool ExtendibleHash::SplitBucket(size_t dir_idx) {
   }
   const size_t new_local = buckets_[bi].local_depth + 1;
   POPAN_DCHECK(new_local <= global_depth_);
-  HistRemove(new_local - 1, buckets_[bi].keys.size());
+  live_hist_.Remove(new_local - 1, buckets_[bi].keys.size());
 
   // New bucket takes the '1' half of the split prefix; the old keeps '0'.
   uint32_t nbi = static_cast<uint32_t>(buckets_.size());
@@ -116,8 +92,8 @@ bool ExtendibleHash::SplitBucket(size_t dir_idx) {
       buckets_[bi].keys.push_back(key);
     }
   }
-  HistAdd(new_local, buckets_[bi].keys.size());
-  HistAdd(new_local, buckets_[nbi].keys.size());
+  live_hist_.Add(new_local, buckets_[bi].keys.size());
+  live_hist_.Add(new_local, buckets_[nbi].keys.size());
   return true;
 }
 
@@ -143,10 +119,10 @@ Status ExtendibleHash::Erase(uint64_t key) {
   Bucket& b = buckets_[directory_[DirIndex(pseudo)]];
   auto it = std::find(b.keys.begin(), b.keys.end(), key);
   if (it == b.keys.end()) return Status::NotFound("key not stored");
-  HistRemove(b.local_depth, b.keys.size());
+  live_hist_.Remove(b.local_depth, b.keys.size());
   *it = b.keys.back();
   b.keys.pop_back();
-  HistAdd(b.local_depth, b.keys.size());
+  live_hist_.Add(b.local_depth, b.keys.size());
   --size_;
   TryMerge(pseudo);
   TryShrinkDirectory();
@@ -168,11 +144,11 @@ void ExtendibleHash::TryMerge(uint64_t pseudo) {
     if (b.keys.size() + buddy.keys.size() > options_.bucket_capacity) return;
 
     // Merge buddy into b and drop buddy.
-    HistRemove(b.local_depth, b.keys.size());
-    HistRemove(buddy.local_depth, buddy.keys.size());
+    live_hist_.Remove(b.local_depth, b.keys.size());
+    live_hist_.Remove(buddy.local_depth, buddy.keys.size());
     b.keys.insert(b.keys.end(), buddy.keys.begin(), buddy.keys.end());
     --b.local_depth;
-    HistAdd(b.local_depth, b.keys.size());
+    live_hist_.Add(b.local_depth, b.keys.size());
     for (uint32_t& slot : directory_) {
       if (slot == buddy_bi) slot = bi;
     }
@@ -242,36 +218,11 @@ Status ExtendibleHash::CheckInvariants() const {
   if (keys_seen != size_) {
     return Status::Internal("size mismatch");
   }
-  return CheckLiveHistogram();
-}
-
-Status ExtendibleHash::CheckLiveHistogram() const {
-  std::vector<std::vector<uint64_t>> walked;
-  VisitBuckets([&walked](size_t local_depth, size_t occ) {
-    if (local_depth >= walked.size()) walked.resize(local_depth + 1);
-    if (occ >= walked[local_depth].size()) {
-      walked[local_depth].resize(occ + 1, 0);
-    }
-    ++walked[local_depth][occ];
-  });
-  size_t depths = std::max(walked.size(), live_hist_.size());
-  for (size_t d = 0; d < depths; ++d) {
-    size_t occs =
-        std::max(d < walked.size() ? walked[d].size() : 0,
-                 d < live_hist_.size() ? live_hist_[d].size() : 0);
-    for (size_t occ = 0; occ < occs; ++occ) {
-      uint64_t want =
-          d < walked.size() && occ < walked[d].size() ? walked[d][occ] : 0;
-      uint64_t have = d < live_hist_.size() && occ < live_hist_[d].size()
-                          ? live_hist_[d][occ]
-                          : 0;
-      if (want != have) {
-        return Status::Internal(
-            "live census drift at local depth " + std::to_string(d) +
-            " occupancy " + std::to_string(occ) + ": walked " +
-            std::to_string(want) + " live " + std::to_string(have));
-      }
-    }
+  const Census live = LiveCensus();
+  const Census walked = TakeBucketCensus(*this);
+  if (live != walked) {
+    return Status::Internal("live census drift: walked " +
+                            walked.ToString() + " live " + live.ToString());
   }
   return Status::OK();
 }

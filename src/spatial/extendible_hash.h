@@ -132,18 +132,14 @@ class ExtendibleHash {
   void TryMerge(uint64_t pseudo);
   void TryShrinkDirectory();
 
-  // Live census bookkeeping: live_hist_[d][i] = number of buckets of local
-  // depth d holding exactly i keys, kept exact through every mutation.
-  void HistAdd(size_t local_depth, size_t occupancy);
-  void HistRemove(size_t local_depth, size_t occupancy);
-  [[nodiscard]] Status CheckLiveHistogram() const;
-
   ExtendibleHashOptions options_;
   size_t global_depth_ = 0;
   std::vector<uint32_t> directory_;  // bucket index per slot
   std::vector<Bucket> buckets_;
   size_t size_ = 0;
-  std::vector<std::vector<uint64_t>> live_hist_;
+  // Buckets by (local depth, occupancy), kept exact through every
+  // mutation; CheckInvariants compares it with a bucket walk.
+  LiveHistogram live_hist_;
 };
 
 }  // namespace popan::spatial

@@ -5,7 +5,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <span>
 #include <utility>
@@ -15,11 +14,9 @@
 #include "geometry/point.h"
 #include "spatial/batch_stats.h"
 #include "spatial/census.h"
-#include "spatial/knn_heap.h"
 #include "spatial/morton.h"
 #include "spatial/node_arena.h"
-#include "spatial/query_cost.h"
-#include "spatial/soa_buffer.h"
+#include "spatial/pr_tree_reader.h"
 #include "util/check.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -55,33 +52,33 @@ struct PrTreeOptions {
 ///    coordinate axis in its own contiguous lane, up to kInlineLeafCapacity
 ///    elements inline in the node, spilling to the heap only above the
 ///    threshold (large capacities, or truncated leaves at max_depth). The
-///    lane layout lets the range/partial-match visitors filter a whole
-///    leaf with the SIMD point-in-box kernels of util/simd.h — bitwise
-///    identical to the scalar test on every dispatch path.
-///  - Insert/Erase/Contains are iterative (explicit descent loops, the
-///    split cascade as a loop, collapse walking the recorded path), so
-///    deep trees cannot overflow the call stack.
+///    lane layout lets the range/partial-match visitors filter a leaf
+///    lane by lane, with the SIMD kernels of util/simd.h for leaves past
+///    kScalarFilterMax points — bitwise identical to the scalar test on
+///    every dispatch path.
+///  - Insert/Erase are iterative (explicit descent loops, the split
+///    cascade as a loop, collapse walking the recorded path), so deep
+///    trees cannot overflow the call stack.
+///  - The read side (Contains, range / partial-match / k-NN queries, the
+///    leaf walks, CheckInvariants) is PrTreeReader, shared verbatim with
+///    the copy-on-write SnapshotView (pr_tree_reader.h).
 ///  - The tree maintains a live occupancy-by-depth histogram, updated in
 ///    O(1) at every insert/erase/split/collapse; LiveCensus() snapshots
 ///    it without walking the tree. TakeCensus (a full walk) remains the
 ///    independent cross-check, and CheckInvariants verifies both agree.
 template <size_t D>
-class PrTree {
+class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
  public:
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
   static constexpr size_t kFanout = size_t{1} << D;
-
-  /// Points stored inline per leaf before spilling to the heap; matches
-  /// the paper's largest studied capacity (m = 8).
-  static constexpr size_t kInlineLeafCapacity = 8;
 
   /// Creates an empty tree over the root block `bounds`.
   PrTree(const BoxT& bounds, const PrTreeOptions& options = {})
       : bounds_(bounds), options_(options) {
     POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
     root_ = arena_.Allocate();
-    HistAdd(0, 0);
+    live_hist_.Add(0, 0);
   }
 
   PrTree(const PrTree&) = default;
@@ -151,8 +148,8 @@ class PrTree {
       }
       if (n < options_.capacity || depth >= options_.max_depth) {
         leaf.points.push_back(p);
-        HistRemove(depth, n);
-        HistAdd(depth, n + 1);
+        live_hist_.Remove(depth, n);
+        live_hist_.Add(depth, n + 1);
         ++size_;
         return Status::OK();
       }
@@ -162,7 +159,7 @@ class PrTree {
       split_points_.clear();
       for (size_t i = 0; i < n; ++i) split_points_.push_back(leaf.points.Get(i));
       split_points_.push_back(p);
-      HistRemove(depth, n);
+      live_hist_.Remove(depth, n);
     }
     // Split cascade, iteratively: convert the current leaf into an
     // internal node with 2^D fresh empty leaves. A child can only exceed
@@ -181,7 +178,7 @@ class PrTree {
         node.children = ch;
       }
       leaf_count_ += kFanout - 1;
-      for (size_t q = 0; q < kFanout; ++q) HistAdd(depth + 1, 0);
+      for (size_t q = 0; q < kFanout; ++q) live_hist_.Add(depth + 1, 0);
 
       std::array<size_t, kFanout> counts{};
       split_codes_.clear();
@@ -198,7 +195,8 @@ class PrTree {
         idx = ch[sole];
         box = box.Quadrant(sole);
         ++depth;
-        HistRemove(depth, 0);  // this fresh leaf becomes internal next turn
+        // This fresh leaf becomes internal next turn.
+        live_hist_.Remove(depth, 0);
         continue;
       }
       // The points scatter (or the children sit at max_depth and absorb
@@ -208,8 +206,8 @@ class PrTree {
       }
       for (size_t q = 0; q < kFanout; ++q) {
         if (counts[q] != 0) {
-          HistRemove(depth + 1, 0);
-          HistAdd(depth + 1, counts[q]);
+          live_hist_.Remove(depth + 1, 0);
+          live_hist_.Add(depth + 1, counts[q]);
         }
       }
       break;
@@ -247,23 +245,6 @@ class PrTree {
   /// NodeArena::GrowthCount) — zero across a well-reserved InsertBatch.
   size_t ArenaGrowthCount() const { return arena_.GrowthCount(); }
 
-  /// True iff an equal point is stored.
-  bool Contains(const PointT& p) const {
-    if (!bounds_.Contains(p)) return false;
-    NodeIndex idx = root_;
-    BoxT box = bounds_;
-    while (!arena_.Get(idx).is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      idx = arena_.Get(idx).children[q];
-      box = box.Quadrant(q);
-    }
-    const Node& leaf = arena_.Get(idx);
-    for (size_t i = 0, n = leaf.points.size(); i < n; ++i) {
-      if (leaf.points.Matches(i, p)) return true;
-    }
-    return false;
-  }
-
   /// Removes `p`. Returns NotFound if it is not stored. After a removal,
   /// any chain of internal nodes whose total occupancy fits in one leaf is
   /// collapsed, so the tree is always the minimal decomposition for its
@@ -295,8 +276,8 @@ class PrTree {
     if (found == n) return Status::NotFound("point not stored");
     leaf.points.SwapRemoveAt(found);
     const size_t depth = erase_path_.size() - 1;
-    HistRemove(depth, n);
-    HistAdd(depth, n - 1);
+    live_hist_.Remove(depth, n);
+    live_hist_.Add(depth, n - 1);
     --size_;
     // Collapse deepest-first along the recorded path. Once a level fails
     // to collapse it stays internal, so no shallower ancestor can have
@@ -307,281 +288,13 @@ class PrTree {
     return Status::OK();
   }
 
-  /// Returns all stored points inside `query` (half-open box semantics).
-  std::vector<PointT> RangeQuery(const BoxT& query) const {
-    std::vector<PointT> out;
-    QueryCost cost;
-    RangeQueryVisit(query, &cost, [&out](const PointT& p) {
-      out.push_back(p);
-    });
-    return out;
-  }
-
-  /// Cost-counted orthogonal range search: calls fn(point) for every
-  /// stored point inside `query` (half-open box semantics), in preorder
-  /// quadrant order. Iterative (explicit stack, no recursion) and
-  /// allocation-local: concurrent calls on a shared const tree are safe.
-  /// A node is counted in nodes_visited iff its block intersects the
-  /// query; rejected children count in pruned_subtrees.
-  template <typename Fn>
-  void RangeQueryVisit(const BoxT& query, QueryCost* cost, Fn fn) const {
-    POPAN_DCHECK(cost != nullptr);
-    if (!bounds_.Intersects(query)) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        ++cost->leaves_touched;
-        // SIMD point-in-box filter over the leaf's coordinate lanes;
-        // match order and counter arithmetic are identical to the scalar
-        // per-point loop on every dispatch path.
-        cost->points_scanned += node.points.size();
-        ForEachInBox(node.points, query,
-                     [&node, &fn](size_t i) { fn(node.points.Get(i)); });
-        continue;
-      }
-      // Push children in reverse so quadrant 0 pops first (preorder).
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.Intersects(query)) {
-          stack.push_back(WalkFrame{node.children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// Cost-counted partial-match search: fixes coordinate `axis` to
-  /// `value` and calls fn(point) for every stored point with
-  /// point[axis] == value. Traverses exactly the blocks whose axis
-  /// interval contains `value` under the half-open rule
-  /// (lo[axis] <= value < hi[axis]); with random real-valued data the
-  /// result set is almost surely empty and the traversal cost IS the
-  /// measurement (the paper-adjacent N^((sqrt(17)-3)/2) law).
-  template <typename Fn>
-  void PartialMatchVisit(size_t axis, double value, QueryCost* cost,
-                         Fn fn) const {
-    POPAN_CHECK(axis < D);
-    POPAN_DCHECK(cost != nullptr);
-    if (value < bounds_.lo()[axis] || value >= bounds_.hi()[axis]) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        ++cost->leaves_touched;
-        // SIMD equality filter on the fixed axis lane (same order and
-        // counters as the scalar loop; IEEE == either way).
-        cost->points_scanned += node.points.size();
-        ForEachEqualOnAxis(node.points, axis, value, [&node, &fn](size_t i) {
-          fn(node.points.Get(i));
-        });
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.lo()[axis] <= value && value < child.hi()[axis]) {
-          stack.push_back(WalkFrame{node.children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// Returns the stored point nearest to `target` (Euclidean metric), or
-  /// NotFound on an empty tree. Ties broken arbitrarily.
-  [[nodiscard]] StatusOr<PointT> Nearest(const PointT& target) const {
-    if (size_ == 0) return Status::NotFound("tree is empty");
-    QueryCost cost;
-    std::vector<PointT> best = NearestK(target, 1, &cost);
-    POPAN_CHECK(!best.empty());
-    return best[0];
-  }
-
-  /// Returns the k stored points nearest to `target`, ascending by the
-  /// canonical (distance, x, y) key (fewer if the tree holds fewer than
-  /// k). k must be >= 1.
-  std::vector<PointT> NearestK(const PointT& target, size_t k) const {
-    QueryCost cost;
-    return NearestK(target, k, &cost);
-  }
-
-  /// Cost-counted k-nearest-neighbor search. Iterative depth-first
-  /// descent with children pushed far-to-near, so the nearest subtree is
-  /// explored first and the pruning radius (the current k-th best
-  /// distance) tightens as early as possible. Subtrees cut off by the
-  /// radius test — at push or at pop, as the radius shrinks between the
-  /// two — count in pruned_subtrees. Equal-distance ties resolve by the
-  /// canonical coordinate order (knn_heap.h), so the result is
-  /// independent of traversal order and identical across backends.
-  std::vector<PointT> NearestK(const PointT& target, size_t k,
-                               QueryCost* cost) const {
-    POPAN_CHECK(k >= 1);
-    POPAN_DCHECK(cost != nullptr);
-    KnnHeap<PointT, PointTieLess> heap(k);
-    std::vector<DistFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(DistFrame{root_, bounds_,
-                              bounds_.DistanceSquaredTo(target)});
-    while (!stack.empty()) {
-      DistFrame f = stack.back();
-      stack.pop_back();
-      if (heap.ShouldPrune(f.d2)) {
-        ++cost->pruned_subtrees;
-        continue;
-      }
-      ++cost->nodes_visited;
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        ++cost->leaves_touched;
-        // Deliberately scalar: the distance accumulation a*a + acc is a
-        // fusable shape the compiler may contract to FMA, so a hand-SIMD
-        // version could not stay bitwise identical (see util/simd.h).
-        for (size_t i = 0, n = node.points.size(); i < n; ++i) {
-          ++cost->points_scanned;
-          heap.Offer(node.points.Get(i).DistanceSquared(target),
-                     node.points.Get(i));
-        }
-        continue;
-      }
-      std::array<std::pair<double, size_t>, kFanout> order;
-      for (size_t q = 0; q < kFanout; ++q) {
-        order[q] = {f.box.Quadrant(q).DistanceSquaredTo(target), q};
-      }
-      std::sort(order.begin(), order.end());
-      // Far-to-near onto the LIFO stack; the nearest child pops first.
-      for (size_t i = kFanout; i-- > 0;) {
-        const auto& [d2, q] = order[i];
-        if (heap.ShouldPrune(d2)) {
-          ++cost->pruned_subtrees;
-          continue;
-        }
-        stack.push_back(DistFrame{node.children[q], f.box.Quadrant(q), d2});
-      }
-    }
-    return heap.TakeSorted();
-  }
-
-  /// Calls fn(box, depth, occupancy) for every leaf in preorder (children
-  /// in quadrant order). Depth of the root is 0; a leaf's block area is
-  /// bounds.Volume() / 2^(D*depth). Explicit-stack traversal: safe for
-  /// trees of any depth.
-  template <typename Fn>
-  void VisitLeaves(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        fn(f.box, static_cast<size_t>(f.depth), node.points.size());
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(WalkFrame{node.children[q], f.box.Quadrant(q),
-                                  f.depth + 1});
-      }
-    }
-  }
-
-  /// Calls fn(box, depth, is_leaf, occupancy) for every node, preorder.
-  template <typename Fn>
-  void VisitAllNodes(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      const Node& node = arena_.Get(f.idx);
-      fn(f.box, static_cast<size_t>(f.depth), node.is_leaf,
-         node.points.size());
-      if (node.is_leaf) continue;
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(WalkFrame{node.children[q], f.box.Quadrant(q),
-                                  f.depth + 1});
-      }
-    }
-  }
-
-  /// Returns every stored point (in no particular order).
-  std::vector<PointT> AllPoints() const {
-    std::vector<PointT> out;
-    out.reserve(size_);
-    VisitLeavesPoints(
-        [&out](const BoxT&, size_t, std::span<const PointT> pts) {
-          out.insert(out.end(), pts.begin(), pts.end());
-        });
-    return out;
-  }
-
-  /// Calls fn(box, depth, std::span<const PointT>) for every leaf in
-  /// preorder (children in quadrant order — Z order), exposing the points.
-  /// The span is assembled from the leaf's coordinate lanes into a
-  /// traversal-local scratch buffer and is valid only for the duration of
-  /// the callback.
-  template <typename Fn>
-  void VisitLeavesPoints(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{root_, bounds_, 0});
-    std::vector<PointT> scratch;
-    scratch.reserve(kInlineLeafCapacity);
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      const Node& node = arena_.Get(f.idx);
-      if (node.is_leaf) {
-        scratch.clear();
-        for (size_t i = 0, n = node.points.size(); i < n; ++i) {
-          scratch.push_back(node.points.Get(i));
-        }
-        fn(f.box, static_cast<size_t>(f.depth),
-           std::span<const PointT>(scratch.data(), scratch.size()));
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(WalkFrame{node.children[q], f.box.Quadrant(q),
-                                  f.depth + 1});
-      }
-    }
-  }
-
   /// Snapshot of the live occupancy-by-depth histogram — the same census
   /// TakeCensus(tree) walks the tree for, but assembled in O(depths x
   /// occupancies) independent of the number of points. The histogram is
   /// maintained incrementally at every insert/erase/split/collapse, so
   /// per-step censuses cost O(1) bookkeeping per operation instead of an
   /// O(N) walk per snapshot.
-  Census LiveCensus() const {
-    Census census;
-    for (size_t d = 0; d < live_hist_.size(); ++d) {
-      const std::vector<uint64_t>& row = live_hist_[d];
-      for (size_t occ = 0; occ < row.size(); ++occ) {
-        if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-      }
-    }
-    return census;
-  }
+  Census LiveCensus() const { return live_hist_.ToCensus(); }
 
   /// Removes all points, leaving one empty root leaf.
   void Clear() {
@@ -589,115 +302,16 @@ class PrTree {
     root_ = arena_.Allocate();
     size_ = 0;
     leaf_count_ = 1;
-    live_hist_.clear();
-    HistAdd(0, 0);
-  }
-
-  /// Verifies structural invariants; returns Internal on violation. Used by
-  /// tests and available to callers as a consistency check:
-  ///  - every leaf holds at most `capacity` points unless at max_depth;
-  ///  - every internal node has 2^D children and holds no points;
-  ///  - every point lies inside its leaf's block;
-  ///  - no internal node's subtree fits within `capacity` (minimality);
-  ///  - cached size / leaf counts match reality;
-  ///  - the live census histogram matches a fresh walk of the tree.
-  [[nodiscard]] Status CheckInvariants() const {
-    size_t points_seen = 0;
-    size_t leaves_seen = 0;
-    Status s = CheckRec(root_, bounds_, 0, &points_seen, &leaves_seen);
-    if (!s.ok()) return s;
-    if (points_seen != size_) {
-      return Status::Internal("size mismatch: counted " +
-                              std::to_string(points_seen) + " cached " +
-                              std::to_string(size_));
-    }
-    if (leaves_seen != leaf_count_) {
-      return Status::Internal("leaf count mismatch");
-    }
-    return CheckLiveHistogram();
+    live_hist_ = LiveHistogram();
+    live_hist_.Add(0, 0);
   }
 
  private:
-  struct Node {
-    // A node is a leaf iff is_leaf; then `points` holds its contents.
-    // Otherwise `children` holds 2^D arena indices.
-    bool is_leaf = true;
-    std::array<NodeIndex, kFanout> children = InitChildren();
-    SoaBuffer<D, kInlineLeafCapacity> points;
+  friend class PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>;
+  using Node = PrNode<D, NodeIndex>;
 
-    static constexpr std::array<NodeIndex, kFanout> InitChildren() {
-      std::array<NodeIndex, kFanout> c{};
-      for (size_t i = 0; i < kFanout; ++i) c[i] = kNullNode;
-      return c;
-    }
-  };
-
-  /// Explicit-stack frame for the traversal methods.
-  struct WalkFrame {
-    NodeIndex idx;
-    BoxT box;
-    uint32_t depth;
-  };
-  /// Frame for the best-first k-NN descent: the block's distance² to the
-  /// target is computed at push time and re-checked at pop time, because
-  /// the pruning radius may have shrunk in between.
-  struct DistFrame {
-    NodeIndex idx;
-    BoxT box;
-    double d2;
-  };
-  static constexpr size_t kWalkStackHint = 64;
-
-  // ---- Live census bookkeeping -------------------------------------
-  // live_hist_[depth][occ] = number of leaves at `depth` holding exactly
-  // `occ` points, kept exact through every mutation. Rows/columns are
-  // grown on demand and may retain trailing zeros after collapses;
-  // LiveCensus() skips the zeros, so the snapshot matches TakeCensus.
-
-  void HistAdd(size_t depth, size_t occ) {
-    if (depth >= live_hist_.size()) live_hist_.resize(depth + 1);
-    std::vector<uint64_t>& row = live_hist_[depth];
-    if (occ >= row.size()) row.resize(occ + 1, 0);
-    ++row[occ];
-  }
-
-  void HistRemove(size_t depth, size_t occ) {
-    POPAN_DCHECK(depth < live_hist_.size() &&
-                 occ < live_hist_[depth].size() &&
-                 live_hist_[depth][occ] > 0)
-        << "live census underflow at depth" << depth;
-    --live_hist_[depth][occ];
-  }
-
-  [[nodiscard]] Status CheckLiveHistogram() const {
-    std::vector<std::vector<uint64_t>> walked;
-    VisitLeaves([&walked](const BoxT&, size_t depth, size_t occ) {
-      if (depth >= walked.size()) walked.resize(depth + 1);
-      if (occ >= walked[depth].size()) walked[depth].resize(occ + 1, 0);
-      ++walked[depth][occ];
-    });
-    size_t depths = std::max(walked.size(), live_hist_.size());
-    for (size_t d = 0; d < depths; ++d) {
-      size_t occs = std::max(d < walked.size() ? walked[d].size() : 0,
-                             d < live_hist_.size() ? live_hist_[d].size()
-                                                   : 0);
-      for (size_t occ = 0; occ < occs; ++occ) {
-        uint64_t want = d < walked.size() && occ < walked[d].size()
-                            ? walked[d][occ]
-                            : 0;
-        uint64_t have = d < live_hist_.size() && occ < live_hist_[d].size()
-                            ? live_hist_[d][occ]
-                            : 0;
-        if (want != have) {
-          return Status::Internal(
-              "live census drift at depth " + std::to_string(d) +
-              " occupancy " + std::to_string(occ) + ": walked " +
-              std::to_string(want) + " live " + std::to_string(have));
-        }
-      }
-    }
-    return Status::OK();
-  }
+  NodeIndex Root() const { return root_; }
+  const Node& NodeAt(NodeIndex idx) const { return arena_.Get(idx); }
 
   // ---- Bulk insert (see InsertBatch) -------------------------------
 
@@ -861,11 +475,11 @@ class PrTree {
         const size_t total = e - i;
         if (total <= options_.capacity || depth >= options_.max_depth) {
           for (size_t j = i; j < e; ++j) leaf.points.push_back(recs[j].pt);
-          HistRemove(depth, 0);
-          HistAdd(depth, total);
+          live_hist_.Remove(depth, 0);
+          live_hist_.Add(depth, total);
           size_ += total;
         } else {
-          HistRemove(depth, 0);
+          live_hist_.Remove(depth, 0);
           const size_t placed =
               BuildSubtreeFromRun(idx, depth, cd, i, e, recs, &fallback);
           size_ += placed;
@@ -935,12 +549,12 @@ class PrTree {
       if (total <= options_.capacity || depth >= options_.max_depth) {
         leaf.points.clear();
         for (size_t j = 0; j < total; ++j) leaf.points.push_back(merged[j].pt);
-        HistRemove(depth, old_occ);
-        HistAdd(depth, total);
+        live_hist_.Remove(depth, old_occ);
+        live_hist_.Add(depth, total);
         size_ += total - old_occ;
       } else {
         // Finalise: rebuild this leaf's subtree from the merged span.
-        HistRemove(depth, old_occ);
+        live_hist_.Remove(depth, old_occ);
         leaf.points.clear();
         const size_t placed = BuildSubtreeFromRun(
             idx, depth, cd, 0, total, merged, &fallback);
@@ -972,11 +586,11 @@ class PrTree {
     if (count <= options_.capacity || depth >= options_.max_depth) {
       Node& node = arena_.Get(idx);
       for (size_t j = b; j < e; ++j) node.points.push_back(recs[j].pt);
-      HistAdd(depth, count);
+      live_hist_.Add(depth, count);
       return count;
     }
     if (depth >= cd) {
-      HistAdd(depth, 0);
+      live_hist_.Add(depth, 0);
       for (size_t j = b; j < e; ++j) fallback->push_back(recs[j].pt);
       return 0;
     }
@@ -1028,67 +642,15 @@ class PrTree {
     for (size_t q = 0; q < kFanout; ++q) {
       // Freeing a slot never moves the slab, so `node` stays valid.
       Node& child = arena_.Get(ch[q]);
-      HistRemove(depth + 1, child.points.size());
+      live_hist_.Remove(depth + 1, child.points.size());
       for (size_t i = 0, n = child.points.size(); i < n; ++i) {
         node.points.push_back(child.points.Get(i));
       }
       arena_.Free(ch[q]);
     }
-    HistAdd(depth, total);
+    live_hist_.Add(depth, total);
     leaf_count_ -= kFanout - 1;
     return true;
-  }
-
-  [[nodiscard]] Status CheckRec(NodeIndex idx, const BoxT& box, size_t depth,
-                  size_t* points_seen, size_t* leaves_seen) const {
-    const Node& node = arena_.Get(idx);
-    if (node.is_leaf) {
-      ++*leaves_seen;
-      *points_seen += node.points.size();
-      if (node.points.size() > options_.capacity &&
-          depth < options_.max_depth) {
-        return Status::Internal("leaf over capacity below max depth");
-      }
-      for (size_t i = 0, n = node.points.size(); i < n; ++i) {
-        PointT p = node.points.Get(i);
-        if (!box.Contains(p)) {
-          return Status::Internal("point " + p.ToString() +
-                                  " outside its leaf block " +
-                                  box.ToString());
-        }
-      }
-      return Status::OK();
-    }
-    if (!node.points.empty()) {
-      return Status::Internal("internal node holds points");
-    }
-    size_t subtree_points = 0;
-    for (size_t q = 0; q < kFanout; ++q) {
-      if (node.children[q] == kNullNode) {
-        return Status::Internal("internal node with missing child");
-      }
-      size_t before = *points_seen;
-      POPAN_RETURN_IF_ERROR(CheckRec(node.children[q], box.Quadrant(q),
-                                     depth + 1, points_seen, leaves_seen));
-      subtree_points += *points_seen - before;
-    }
-    // Minimality: an internal node whose whole subtree fits in a leaf
-    // should have been collapsed (PR trees are canonical for a point set).
-    if (subtree_points <= options_.capacity) {
-      bool all_leaf_children = true;
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (!arena_.Get(node.children[q]).is_leaf) {
-          all_leaf_children = false;
-          break;
-        }
-      }
-      if (all_leaf_children) {
-        return Status::Internal("non-minimal decomposition: " +
-                                std::to_string(subtree_points) +
-                                " points under an internal node");
-      }
-    }
-    return Status::OK();
   }
 
   BoxT bounds_;
@@ -1097,13 +659,18 @@ class PrTree {
   NodeIndex root_ = kNullNode;
   size_t size_ = 0;
   size_t leaf_count_ = 1;
-  std::vector<std::vector<uint64_t>> live_hist_;
+  LiveHistogram live_hist_;
   // Reusable scratch buffers so the insert/erase hot paths are
   // allocation-free after warm-up.
   std::vector<PointT> split_points_;
   std::vector<uint8_t> split_codes_;
   std::vector<NodeIndex> erase_path_;
 };
+
+// The node holds 2^D 32-bit arena indices next to the SoA leaf lanes;
+// pinned so a layout change cannot silently grow every tree.
+static_assert(sizeof(void*) != 8 || sizeof(PrNode<2, NodeIndex>) <= 184,
+              "PrQuadtree node grew past 184 bytes");
 
 /// Convenience aliases for the common dimensions.
 using PrBintree = PrTree<1>;

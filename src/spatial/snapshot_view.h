@@ -1,14 +1,10 @@
 #ifndef POPAN_SPATIAL_SNAPSHOT_VIEW_H_
 #define POPAN_SPATIAL_SNAPSHOT_VIEW_H_
 
-#include <algorithm>
 #include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,18 +12,26 @@
 #include "geometry/point.h"
 #include "spatial/census.h"
 #include "spatial/epoch.h"
-#include "spatial/inline_buffer.h"
-#include "spatial/knn_heap.h"
 #include "spatial/pr_tree.h"
-#include "spatial/query_cost.h"
+#include "spatial/pr_tree_reader.h"
 #include "util/check.h"
-#include "util/simd.h"
 #include "util/status.h"
 
 namespace popan::spatial {
 
 template <size_t D>
 class SnapshotView;
+
+/// An immutable snapshot-tree node: the shared PR node with pointer
+/// children. Never modified after the version holding it is published;
+/// freed through the epoch limbo list when replaced.
+template <size_t D>
+struct CowNode : PrNode<D, const CowNode<D>*> {};
+
+// Path copying allocates one node per level per write, so the node size
+// is the snapshot tree's memory footprint; pinned against layout growth.
+static_assert(sizeof(void*) != 8 || sizeof(CowNode<2>) <= 200,
+              "snapshot quadtree node grew past 200 bytes");
 
 /// A copy-on-write PR tree for single-writer / multi-reader workloads:
 /// the concurrent sibling of PrTree<D>, with the same splitting rule,
@@ -72,7 +76,7 @@ class CowPrTree {
                      size_t epoch_readers = EpochManager::kMaxReaders)
       : bounds_(bounds), options_(options), epochs_(epoch_readers) {
     POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
-    HistAdd(0, 0);
+    hist_.Add(0, 0);
     Version* v = new Version;
     v->root = new Node;
     v->sequence = initial_sequence;
@@ -110,16 +114,7 @@ class CowPrTree {
   /// SnapshotView::LiveCensus performs, without pinning a reader slot.
   /// O(depths x occupancies); this is what lets the shard balancer poll
   /// every shard's census per rebalance check without touching points.
-  Census LiveCensus() const {
-    Census census;
-    for (size_t d = 0; d < hist_.size(); ++d) {
-      const std::vector<uint64_t>& row = hist_[d];
-      for (size_t occ = 0; occ < row.size(); ++occ) {
-        if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-      }
-    }
-    return census;
-  }
+  Census LiveCensus() const { return hist_.ToCensus(); }
 
   /// The reclamation machinery, exposed for storm harnesses and benches
   /// (counters from any thread; Retire/Advance/Reclaim writer-only).
@@ -157,10 +152,9 @@ class CowPrTree {
       ++depth;
     }
     const size_t n = leaf->points.size();
-    {
-      const PointT* pts = leaf->points.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (pts[i] == p) return Status::AlreadyExists("duplicate point");
+    for (size_t i = 0; i < n; ++i) {
+      if (leaf->points.Matches(i, p)) {
+        return Status::AlreadyExists("duplicate point");
       }
     }
     to_retire_.clear();
@@ -169,16 +163,17 @@ class CowPrTree {
     if (n < options_.capacity || depth >= options_.max_depth) {
       replacement = new Node(*leaf);
       replacement->points.push_back(p);
-      HistRemove(depth, n);
-      HistAdd(depth, n + 1);
+      hist_.Remove(depth, n);
+      hist_.Add(depth, n + 1);
     } else {
       // The splitting rule fires: stash the m+1 points and grow a fresh
       // subtree in their place (same cascade arithmetic as PrTree).
       split_points_.clear();
-      split_points_.insert(split_points_.end(), leaf->points.begin(),
-                           leaf->points.end());
+      for (size_t i = 0; i < n; ++i) {
+        split_points_.push_back(leaf->points.Get(i));
+      }
       split_points_.push_back(p);
-      HistRemove(depth, n);
+      hist_.Remove(depth, n);
       replacement = BuildSplitSubtree(box, depth);
     }
     ++size_;
@@ -206,13 +201,10 @@ class CowPrTree {
     }
     const size_t n = leaf->points.size();
     size_t found = n;
-    {
-      const PointT* pts = leaf->points.data();
-      for (size_t i = 0; i < n; ++i) {
-        if (pts[i] == p) {
-          found = i;
-          break;
-        }
+    for (size_t i = 0; i < n; ++i) {
+      if (leaf->points.Matches(i, p)) {
+        found = i;
+        break;
       }
     }
     if (found == n) return Status::NotFound("point not stored");
@@ -221,8 +213,8 @@ class CowPrTree {
     to_retire_.push_back(leaf);
     Node* child = new Node(*leaf);
     child->points.SwapRemoveAt(found);
-    HistRemove(depth, n);
-    HistAdd(depth, n - 1);
+    hist_.Remove(depth, n);
+    hist_.Add(depth, n - 1);
     --size_;
     // Walk back up, merging any chain of all-leaf siblings that fits in
     // one leaf (deepest first; once a level fails, no shallower level can
@@ -248,13 +240,13 @@ class CowPrTree {
           Node* merged = new Node;
           for (size_t qq = 0; qq < kFanout; ++qq) {
             const Node* source = qq == q ? root : parent->children[qq];
-            for (const PointT& pt : source->points) {
-              merged->points.push_back(pt);
+            for (size_t i = 0, m = source->points.size(); i < m; ++i) {
+              merged->points.push_back(source->points.Get(i));
             }
-            HistRemove(level + 1, source->points.size());
+            hist_.Remove(level + 1, source->points.size());
             if (qq != q) to_retire_.push_back(parent->children[qq]);
           }
-          HistAdd(level, total);
+          hist_.Add(level, total);
           leaf_count_ -= kFanout - 1;
           to_retire_.push_back(parent);
           delete root;  // fresh this operation, never published
@@ -274,57 +266,13 @@ class CowPrTree {
 
   /// Verifies the newest version against a fresh walk: structural PR
   /// invariants, cached size/leaf counts, and the per-version census
-  /// histogram. Writer thread only.
-  [[nodiscard]] Status CheckInvariants() const {
-    const Version* v = head_.load(std::memory_order_relaxed);
-    size_t points_seen = 0;
-    size_t leaves_seen = 0;
-    std::vector<std::vector<uint64_t>> walked;
-    Status s = CheckNode(v->root, bounds_, 0, &points_seen, &leaves_seen,
-                         &walked);
-    if (!s.ok()) return s;
-    if (points_seen != v->size) {
-      return Status::Internal("size mismatch: counted " +
-                              std::to_string(points_seen) + " cached " +
-                              std::to_string(v->size));
-    }
-    if (leaves_seen != v->leaf_count) {
-      return Status::Internal("leaf count mismatch");
-    }
-    size_t depths = std::max(walked.size(), v->hist.size());
-    for (size_t d = 0; d < depths; ++d) {
-      size_t occs = std::max(d < walked.size() ? walked[d].size() : 0,
-                             d < v->hist.size() ? v->hist[d].size() : 0);
-      for (size_t occ = 0; occ < occs; ++occ) {
-        uint64_t want =
-            d < walked.size() && occ < walked[d].size() ? walked[d][occ] : 0;
-        uint64_t have =
-            d < v->hist.size() && occ < v->hist[d].size() ? v->hist[d][occ]
-                                                          : 0;
-        if (want != have) {
-          return Status::Internal(
-              "version census drift at depth " + std::to_string(d) +
-              " occupancy " + std::to_string(occ));
-        }
-      }
-    }
-    return Status::OK();
-  }
+  /// histogram (SnapshotView::CheckInvariants on the head). Writer thread
+  /// only.
+  [[nodiscard]] Status CheckInvariants() const;
 
  private:
   friend class SnapshotView<D>;
-
-  /// An immutable tree node. Never modified after the version holding it
-  /// is published; freed through the epoch limbo list when replaced.
-  struct Node {
-    bool is_leaf = true;
-    std::array<const Node*, kFanout> children = InitChildren();
-    InlineBuffer<PointT, kInlineLeafCapacity> points;
-
-    static constexpr std::array<const Node*, kFanout> InitChildren() {
-      return std::array<const Node*, kFanout>{};
-    }
-  };
+  using Node = CowNode<D>;
 
   /// One published state of the tree: the version header readers pin.
   /// Immutable after the head store that publishes it.
@@ -333,29 +281,14 @@ class CowPrTree {
     uint64_t sequence = 0;
     size_t size = 0;
     size_t leaf_count = 1;
-    /// hist[depth][occ] = leaves at `depth` holding `occ` points — the
-    /// same live census PrTree maintains, frozen per version.
-    std::vector<std::vector<uint64_t>> hist;
+    /// The live census PrTree maintains, frozen per version.
+    LiveHistogram hist;
   };
 
   struct PathEntry {
     const Node* node;
     size_t quadrant;
   };
-
-  void HistAdd(size_t depth, size_t occ) {
-    if (depth >= hist_.size()) hist_.resize(depth + 1);
-    std::vector<uint64_t>& row = hist_[depth];
-    if (occ >= row.size()) row.resize(occ + 1, 0);
-    ++row[occ];
-  }
-
-  void HistRemove(size_t depth, size_t occ) {
-    POPAN_DCHECK(depth < hist_.size() && occ < hist_[depth].size() &&
-                 hist_[depth][occ] > 0)
-        << "version census underflow at depth" << depth;
-    --hist_[depth][occ];
-  }
 
   /// Grows the replacement subtree for a split at (`box`, `depth`) from
   /// the m+1 points in split_points_. Same cascade loop and histogram
@@ -384,12 +317,12 @@ class CowPrTree {
         pending_parent->children[pending_quadrant] = internal;
       }
       leaf_count_ += kFanout - 1;
-      for (size_t q = 0; q < kFanout; ++q) HistAdd(depth + 1, 0);
+      for (size_t q = 0; q < kFanout; ++q) hist_.Add(depth + 1, 0);
       if (sole != kFanout && depth + 1 < options_.max_depth) {
         for (size_t q = 0; q < kFanout; ++q) {
           if (q != sole) internal->children[q] = new Node;
         }
-        HistRemove(depth + 1, 0);  // the sole child becomes internal
+        hist_.Remove(depth + 1, 0);  // the sole child becomes internal
         pending_parent = internal;
         pending_quadrant = sole;
         box = box.Quadrant(sole);
@@ -406,8 +339,8 @@ class CowPrTree {
       }
       for (size_t q = 0; q < kFanout; ++q) {
         if (counts[q] != 0) {
-          HistRemove(depth + 1, 0);
-          HistAdd(depth + 1, counts[q]);
+          hist_.Remove(depth + 1, 0);
+          hist_.Add(depth + 1, counts[q]);
         }
       }
       return top;
@@ -462,50 +395,6 @@ class CowPrTree {
     }
   }
 
-  [[nodiscard]] Status CheckNode(
-      const Node* node, const BoxT& box, size_t depth, size_t* points_seen,
-      size_t* leaves_seen, std::vector<std::vector<uint64_t>>* walked) const {
-    if (node->is_leaf) {
-      ++*leaves_seen;
-      *points_seen += node->points.size();
-      if (depth >= walked->size()) walked->resize(depth + 1);
-      std::vector<uint64_t>& row = (*walked)[depth];
-      if (node->points.size() >= row.size()) {
-        row.resize(node->points.size() + 1, 0);
-      }
-      ++row[node->points.size()];
-      if (node->points.size() > options_.capacity &&
-          depth < options_.max_depth) {
-        return Status::Internal("leaf over capacity below max depth");
-      }
-      for (const PointT& p : node->points) {
-        if (!box.Contains(p)) {
-          return Status::Internal("point outside its leaf block");
-        }
-      }
-      return Status::OK();
-    }
-    if (!node->points.empty()) {
-      return Status::Internal("internal node holds points");
-    }
-    size_t before = *points_seen;
-    bool all_leaf_children = true;
-    for (size_t q = 0; q < kFanout; ++q) {
-      if (node->children[q] == nullptr) {
-        return Status::Internal("internal node with missing child");
-      }
-      if (!node->children[q]->is_leaf) all_leaf_children = false;
-      POPAN_RETURN_IF_ERROR(CheckNode(node->children[q], box.Quadrant(q),
-                                      depth + 1, points_seen, leaves_seen,
-                                      walked));
-    }
-    if (*points_seen - before <= options_.capacity && all_leaf_children) {
-      return Status::Internal("non-minimal decomposition under an internal "
-                              "node");
-    }
-    return Status::OK();
-  }
-
   BoxT bounds_;
   PrTreeOptions options_;
   mutable EpochManager epochs_;
@@ -513,7 +402,7 @@ class CowPrTree {
   // Writer-side working state, mirrored into each published Version.
   size_t size_ = 0;
   size_t leaf_count_ = 1;
-  std::vector<std::vector<uint64_t>> hist_;
+  LiveHistogram hist_;
   // Reusable writer scratch.
   std::vector<PathEntry> path_;
   std::vector<const Node*> to_retire_;
@@ -523,18 +412,16 @@ class CowPrTree {
 
 /// A pinned, frozen view of one CowPrTree version: the reader-side handle.
 /// Construction pins an epoch; destruction releases it. Every traversal
-/// here is a pure const walk over immutable nodes — identical algorithms
-/// (and therefore identical QueryCost counters and visit orders) to
-/// PrTree's, so results are bitwise comparable with a stop-the-world tree
-/// holding the same points. Safe to share across threads by const
-/// reference (the executor does exactly that); the view and its source
-/// tree must outlive all such use.
+/// is PrTreeReader's — the same code PrTree runs — over immutable nodes,
+/// so results, visit orders and QueryCost counters are bitwise comparable
+/// with a stop-the-world tree holding the same points. Safe to share
+/// across threads by const reference (the executor does exactly that);
+/// the view and its source tree must outlive all such use.
 template <size_t D>
-class SnapshotView {
+class SnapshotView : public PrTreeReader<SnapshotView<D>, CowNode<D>> {
  public:
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
-  static constexpr size_t kFanout = CowPrTree<D>::kFanout;
 
   SnapshotView(SnapshotView&&) noexcept = default;
   SnapshotView& operator=(SnapshotView&&) noexcept = default;
@@ -553,269 +440,33 @@ class SnapshotView {
 
   /// The pinned version's census — bitwise identical to TakeCensus of a
   /// stop-the-world tree built from the same operation prefix.
-  Census LiveCensus() const {
-    Census census;
-    for (size_t d = 0; d < version_->hist.size(); ++d) {
-      const std::vector<uint64_t>& row = version_->hist[d];
-      for (size_t occ = 0; occ < row.size(); ++occ) {
-        if (row[occ] != 0) census.AddLeaves(occ, d, row[occ]);
-      }
-    }
-    return census;
-  }
-
-  /// True iff an equal point is stored in this version.
-  bool Contains(const PointT& p) const {
-    if (!bounds().Contains(p)) return false;
-    const Node* node = version_->root;
-    BoxT box = bounds();
-    while (!node->is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      node = node->children[q];
-      box = box.Quadrant(q);
-    }
-    const PointT* pts = node->points.data();
-    for (size_t i = 0, n = node->points.size(); i < n; ++i) {
-      if (pts[i] == p) return true;
-    }
-    return false;
-  }
-
-  /// All stored points inside `query` (half-open), unordered.
-  std::vector<PointT> RangeQuery(const BoxT& query) const {
-    std::vector<PointT> out;
-    QueryCost cost;
-    RangeQueryVisit(query, &cost,
-                    [&out](const PointT& p) { out.push_back(p); });
-    return out;
-  }
-
-  /// Cost-counted range search; same traversal (and counters) as
-  /// PrTree::RangeQueryVisit.
-  template <typename Fn>
-  void RangeQueryVisit(const BoxT& query, QueryCost* cost, Fn fn) const {
-    POPAN_DCHECK(cost != nullptr);
-    if (!bounds().Intersects(query)) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      if (f.node->is_leaf) {
-        ++cost->leaves_touched;
-        const PointT* pts = f.node->points.data();
-        const size_t n = f.node->points.size();
-        cost->points_scanned += n;
-        if constexpr (D == 2) {
-          // Snapshot leaves are AoS (immutable InlineBuffer), so the leaf
-          // filter goes through the stride-2 SIMD in-box kernel; matches,
-          // visit order, and counters are identical to the scalar
-          // Contains loop on every dispatch path.
-          static_assert(sizeof(PointT) == 2 * sizeof(double));
-          const double* xy = n != 0 ? pts[0].coords().data() : nullptr;
-          for (size_t base = 0; base < n; base += 64) {
-            const size_t chunk = n - base < 64 ? n - base : 64;
-            uint64_t mask = simd::MaskPointsInBoxAos(
-                xy + 2 * base, chunk, query.lo()[0], query.lo()[1],
-                query.hi()[0], query.hi()[1]);
-            while (mask != 0) {
-              const size_t i = static_cast<size_t>(std::countr_zero(mask));
-              mask &= mask - 1;
-              fn(pts[base + i]);
-            }
-          }
-        } else {
-          for (size_t i = 0; i < n; ++i) {
-            if (query.Contains(pts[i])) fn(pts[i]);
-          }
-        }
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.Intersects(query)) {
-          stack.push_back(WalkFrame{f.node->children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// Cost-counted partial-match search; mirrors PrTree::PartialMatchVisit.
-  /// The leaf scan stays scalar: the AoS layout has no contiguous axis
-  /// lane, and a degenerate-box reformulation of the equality test would
-  /// diverge from `p[axis] == value` on NaN coordinates.
-  template <typename Fn>
-  void PartialMatchVisit(size_t axis, double value, QueryCost* cost,
-                         Fn fn) const {
-    POPAN_CHECK(axis < D);
-    POPAN_DCHECK(cost != nullptr);
-    if (value < bounds().lo()[axis] || value >= bounds().hi()[axis]) {
-      ++cost->pruned_subtrees;
-      return;
-    }
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      ++cost->nodes_visited;
-      if (f.node->is_leaf) {
-        ++cost->leaves_touched;
-        const PointT* pts = f.node->points.data();
-        for (size_t i = 0, n = f.node->points.size(); i < n; ++i) {
-          ++cost->points_scanned;
-          if (pts[i][axis] == value) fn(pts[i]);
-        }
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        BoxT child = f.box.Quadrant(q);
-        if (child.lo()[axis] <= value && value < child.hi()[axis]) {
-          stack.push_back(WalkFrame{f.node->children[q], child, f.depth + 1});
-        } else {
-          ++cost->pruned_subtrees;
-        }
-      }
-    }
-  }
-
-  /// k nearest neighbors, ascending by the canonical (distance, x, y)
-  /// key; mirrors PrTree::NearestK (same KnnHeap, same counters).
-  std::vector<PointT> NearestK(const PointT& target, size_t k,
-                               QueryCost* cost) const {
-    POPAN_CHECK(k >= 1);
-    POPAN_DCHECK(cost != nullptr);
-    KnnHeap<PointT, PointTieLess> heap(k);
-    std::vector<DistFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(DistFrame{version_->root, bounds(),
-                              bounds().DistanceSquaredTo(target)});
-    while (!stack.empty()) {
-      DistFrame f = stack.back();
-      stack.pop_back();
-      if (heap.ShouldPrune(f.d2)) {
-        ++cost->pruned_subtrees;
-        continue;
-      }
-      ++cost->nodes_visited;
-      if (f.node->is_leaf) {
-        ++cost->leaves_touched;
-        const PointT* pts = f.node->points.data();
-        for (size_t i = 0, n = f.node->points.size(); i < n; ++i) {
-          ++cost->points_scanned;
-          heap.Offer(pts[i].DistanceSquared(target), pts[i]);
-        }
-        continue;
-      }
-      std::array<std::pair<double, size_t>, kFanout> order;
-      for (size_t q = 0; q < kFanout; ++q) {
-        order[q] = {f.box.Quadrant(q).DistanceSquaredTo(target), q};
-      }
-      std::sort(order.begin(), order.end());
-      for (size_t i = kFanout; i-- > 0;) {
-        const auto& [d2, q] = order[i];
-        if (heap.ShouldPrune(d2)) {
-          ++cost->pruned_subtrees;
-          continue;
-        }
-        stack.push_back(
-            DistFrame{f.node->children[q], f.box.Quadrant(q), d2});
-      }
-    }
-    return heap.TakeSorted();
-  }
-
-  std::vector<PointT> NearestK(const PointT& target, size_t k) const {
-    QueryCost cost;
-    return NearestK(target, k, &cost);
-  }
-
-  /// fn(box, depth, occupancy) per leaf, preorder in quadrant order.
-  template <typename Fn>
-  void VisitLeaves(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      if (f.node->is_leaf) {
-        fn(f.box, static_cast<size_t>(f.depth), f.node->points.size());
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(
-            WalkFrame{f.node->children[q], f.box.Quadrant(q), f.depth + 1});
-      }
-    }
-  }
-
-  /// fn(box, depth, span<const PointT>) per leaf, preorder (Z order).
-  template <typename Fn>
-  void VisitLeavesPoints(Fn fn) const {
-    std::vector<WalkFrame> stack;
-    stack.reserve(kWalkStackHint);
-    stack.push_back(WalkFrame{version_->root, bounds(), 0});
-    while (!stack.empty()) {
-      WalkFrame f = stack.back();
-      stack.pop_back();
-      if (f.node->is_leaf) {
-        fn(f.box, static_cast<size_t>(f.depth),
-           std::span<const PointT>(f.node->points.data(),
-                                   f.node->points.size()));
-        continue;
-      }
-      for (size_t q = kFanout; q-- > 0;) {
-        stack.push_back(
-            WalkFrame{f.node->children[q], f.box.Quadrant(q), f.depth + 1});
-      }
-    }
-  }
-
-  /// Every stored point, in Z order of leaves.
-  std::vector<PointT> AllPoints() const {
-    std::vector<PointT> out;
-    out.reserve(version_->size);
-    VisitLeavesPoints(
-        [&out](const BoxT&, size_t, std::span<const PointT> pts) {
-          out.insert(out.end(), pts.begin(), pts.end());
-        });
-    return out;
-  }
+  Census LiveCensus() const { return version_->hist.ToCensus(); }
 
  private:
   friend class CowPrTree<D>;
-  using Node = typename CowPrTree<D>::Node;
+  friend class PrTreeReader<SnapshotView<D>, CowNode<D>>;
   using Version = typename CowPrTree<D>::Version;
 
-  struct WalkFrame {
-    const Node* node;
-    BoxT box;
-    uint32_t depth;
-  };
-  struct DistFrame {
-    const Node* node;
-    BoxT box;
-    double d2;
-  };
-  static constexpr size_t kWalkStackHint = 64;
-
+  /// `pin` may be empty only on the writer thread, which alone retires
+  /// nodes (CowPrTree::CheckInvariants).
   SnapshotView(const CowPrTree<D>* tree, const Version* version,
                EpochManager::Pin pin)
       : tree_(tree), version_(version), pin_(std::move(pin)) {}
+
+  const CowNode<D>* Root() const { return version_->root; }
+  static const CowNode<D>& NodeAt(const CowNode<D>* node) { return *node; }
 
   const CowPrTree<D>* tree_;
   const Version* version_;
   EpochManager::Pin pin_;
 };
+
+template <size_t D>
+Status CowPrTree<D>::CheckInvariants() const {
+  return SnapshotView<D>(this, head_.load(std::memory_order_relaxed),
+                         EpochManager::Pin())
+      .CheckInvariants();
+}
 
 template <size_t D>
 SnapshotView<D> CowPrTree<D>::Snapshot() const {

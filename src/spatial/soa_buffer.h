@@ -1,6 +1,7 @@
 #ifndef POPAN_SPATIAL_SOA_BUFFER_H_
 #define POPAN_SPATIAL_SOA_BUFFER_H_
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstddef>
@@ -14,17 +15,24 @@
 
 namespace popan::spatial {
 
-/// Structure-of-arrays sibling of InlineBuffer for leaf contents: each
+/// Structure-of-arrays leaf storage, shared by both PR trees: each
 /// coordinate axis lives in its own contiguous lane (x[], y[], ...), so
-/// the range/partial-match hot loops can test a whole leaf against a box
-/// with the SIMD kernels in util/simd.h instead of point-at-a-time
-/// Box::Contains calls. Everything else mirrors InlineBuffer exactly:
+/// the range/partial-match hot loops filter a leaf lane by lane — with
+/// the SIMD kernels in util/simd.h once it holds more than
+/// kScalarFilterMax points — instead of point-at-a-time Box::Contains
+/// calls.
 ///
-///   * up to kInline elements per lane live inside the owning node, larger
-///     contents spill to per-lane heap vectors;
-///   * the storage mode is a function of size alone (inline iff
-///     size() <= kInline), and the spill vectors keep their heap buffers
-///     across un-spills;
+///   * Up to kInline elements per lane live inside the owning node. Larger
+///     contents spill to ONE heap block holding all D lanes back to back
+///     (lane a at [a * lane_capacity(), a * lane_capacity() + size())),
+///     grown geometrically, so a spilled buffer costs one allocation and
+///     the in-node footprint is a single vector.
+///   * The storage mode is a function of size alone (inline iff
+///     size() <= kInline). The block survives un-spills and clear(), so a
+///     leaf oscillating around the threshold allocates at most once.
+///   * A copy holds exactly what it needs: a block of size() elements per
+///     lane when spilled, none otherwise. The snapshot tree copies a leaf
+///     on every write into it, so copies must not inherit spare capacity.
 ///   * SwapRemoveAt swaps the last element into the hole (leaf order is
 ///     immaterial to the tree invariants).
 template <size_t D, size_t kInline>
@@ -34,18 +42,38 @@ class SoaBuffer {
 
   SoaBuffer() = default;
 
+  SoaBuffer(const SoaBuffer& other)
+      : size_(other.size_), inline_(other.inline_) {
+    if (other.spilled()) {
+      spill_.resize(D * size_);
+      for (size_t a = 0; a < D; ++a) {
+        std::copy_n(other.lane(a), size_, MutableLane(a));
+      }
+    }
+  }
+  SoaBuffer& operator=(const SoaBuffer& other) {
+    if (this != &other) *this = SoaBuffer(other);
+    return *this;
+  }
+  SoaBuffer(SoaBuffer&&) noexcept = default;
+  SoaBuffer& operator=(SoaBuffer&&) noexcept = default;
+
   static constexpr size_t inline_capacity() { return kInline; }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  /// True when the lanes currently live on the heap.
+  /// True when the lanes currently live in the heap block.
   bool spilled() const { return size_ > kInline; }
+
+  /// Elements per lane the heap block holds (0 before the first spill).
+  size_t lane_capacity() const { return spill_.size() / D; }
 
   /// The contiguous lane for `axis` (size() readable elements).
   const double* lane(size_t axis) const {
     POPAN_DCHECK(axis < D);
-    return spilled() ? spill_[axis].data() : inline_[axis].data();
+    return spilled() ? spill_.data() + axis * lane_capacity()
+                     : inline_[axis].data();
   }
 
   double At(size_t axis, size_t i) const {
@@ -75,54 +103,71 @@ class SoaBuffer {
   void push_back(const PointT& p) {
     if (size_ < kInline) {
       for (size_t a = 0; a < D; ++a) inline_[a][size_] = p[a];
-    } else if (size_ == kInline) {
-      // Crossing the inline threshold: migrate every lane to the heap.
-      for (size_t a = 0; a < D; ++a) {
-        spill_[a].clear();
-        spill_[a].reserve(kInline + 1);
-        spill_[a].insert(spill_[a].end(), inline_[a].begin(),
-                         inline_[a].end());
-        spill_[a].push_back(p[a]);
-      }
-    } else {
-      for (size_t a = 0; a < D; ++a) spill_[a].push_back(p[a]);
+      ++size_;
+      return;
     }
+    if (size_ == kInline) {
+      // Crossing the inline threshold: move every lane into the block.
+      if (lane_capacity() <= kInline) spill_.assign(D * (kInline + 1), 0.0);
+      for (size_t a = 0; a < D; ++a) {
+        std::copy(inline_[a].begin(), inline_[a].end(), MutableLane(a));
+      }
+    } else if (size_ == lane_capacity()) {
+      Regrow(2 * size_);
+    }
+    for (size_t a = 0; a < D; ++a) MutableLane(a)[size_] = p[a];
     ++size_;
   }
 
   /// Removes element i by swapping the last element into its place.
   void SwapRemoveAt(size_t i) {
     POPAN_DCHECK(i < size_);
-    if (spilled()) {
+    const bool was_spilled = spilled();
+    for (size_t a = 0; a < D; ++a) {
+      double* l = was_spilled ? MutableLane(a) : inline_[a].data();
+      l[i] = l[size_ - 1];
+    }
+    --size_;
+    if (was_spilled && size_ == kInline) {
+      // Back under the threshold: return to inline storage; the block
+      // stays allocated for future crossings.
       for (size_t a = 0; a < D; ++a) {
-        spill_[a][i] = spill_[a].back();
-        spill_[a].pop_back();
+        std::copy_n(MutableLane(a), kInline, inline_[a].begin());
       }
-      --size_;
-      if (size_ == kInline) {
-        // Back under the threshold: return to inline storage; the spill
-        // vectors keep their buffers for future crossings.
-        for (size_t a = 0; a < D; ++a) {
-          for (size_t j = 0; j < kInline; ++j) inline_[a][j] = spill_[a][j];
-          spill_[a].clear();
-        }
-      }
-    } else {
-      for (size_t a = 0; a < D; ++a) inline_[a][i] = inline_[a][size_ - 1];
-      --size_;
     }
   }
 
-  void clear() {
-    size_ = 0;
-    for (size_t a = 0; a < D; ++a) spill_[a].clear();
-  }
+  void clear() { size_ = 0; }
 
  private:
+  double* MutableLane(size_t axis) {
+    return spill_.data() + axis * lane_capacity();
+  }
+
+  /// Moves the spilled lanes into a fresh block of `lanes_to` elements per
+  /// lane (lane offsets change with the capacity, so this is a per-lane
+  /// copy, not a vector reallocation).
+  void Regrow(size_t lanes_to) {
+    std::vector<double> grown(D * lanes_to);
+    for (size_t a = 0; a < D; ++a) {
+      std::copy_n(MutableLane(a), size_, grown.data() + a * lanes_to);
+    }
+    spill_.swap(grown);
+  }
+
   size_t size_ = 0;
   std::array<std::array<double, kInline>, D> inline_{};
-  std::array<std::vector<double>, D> spill_;
+  std::vector<double> spill_;
 };
+
+/// Runs of at most this many elements (a leaf in the paper's regime,
+/// m <= 8) are filtered by the inline scalar loop: there one kernel
+/// dispatch per axis costs more than the comparisons it replaces (on a
+/// 4-vCPU AVX2 x86-64 host, range queries over a 2^20-point capacity-4
+/// snapshot tree ran ~20% slower through the kernels). The scalar loop
+/// is the kernels' semantics of record, so results and visit order are
+/// the same on either side of the cut.
+inline constexpr size_t kScalarFilterMax = 8;
 
 /// Raw-lane workhorse behind ForEachInBox, shared with flat SoA storage
 /// (the linear quadtree's leaf lanes): lanes[a] points at `n` elements of
@@ -134,6 +179,18 @@ class SoaBuffer {
 template <size_t D, typename Fn>
 void ForEachInBoxLanes(const std::array<const double*, D>& lanes, size_t n,
                        const geo::Box<D>& box, Fn&& fn) {
+  if (n <= kScalarFilterMax) {
+    for (size_t i = 0; i < n; ++i) {
+      bool inside = true;
+      for (size_t a = 0; a < D && inside; ++a) {
+        // Box::Contains' spelling: outside iff v < lo || v >= hi.
+        const double v = lanes[a][i];
+        inside = !(v < box.lo()[a] || v >= box.hi()[a]);
+      }
+      if (inside) fn(i);
+    }
+    return;
+  }
   for (size_t base = 0; base < n; base += 64) {
     const size_t chunk = n - base < 64 ? n - base : 64;
     uint64_t mask = simd::MaskInHalfOpen(lanes[0] + base, chunk, box.lo()[0],
@@ -154,6 +211,12 @@ void ForEachInBoxLanes(const std::array<const double*, D>& lanes, size_t n,
 /// lane equal to `value`, ascending.
 template <typename Fn>
 void ForEachEqualLane(const double* lane, size_t n, double value, Fn&& fn) {
+  if (n <= kScalarFilterMax) {
+    for (size_t i = 0; i < n; ++i) {
+      if (lane[i] == value) fn(i);
+    }
+    return;
+  }
   for (size_t base = 0; base < n; base += 64) {
     const size_t chunk = n - base < 64 ? n - base : 64;
     uint64_t mask = simd::MaskEqual(lane + base, chunk, value);

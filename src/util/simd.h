@@ -133,20 +133,6 @@ inline uint64_t MaskEqualScalar(const double* v, size_t n, double value) {
   return mask;
 }
 
-inline uint64_t MaskPointsInBoxAosScalar(const double* xy, size_t n,
-                                         double lox, double loy, double hix,
-                                         double hiy) {
-  uint64_t mask = 0;
-  for (size_t i = 0; i < n; ++i) {
-    double x = xy[2 * i];
-    double y = xy[2 * i + 1];
-    if (!(x < lox || x >= hix) && !(y < loy || y >= hiy)) {
-      mask |= uint64_t{1} << i;
-    }
-  }
-  return mask;
-}
-
 inline uint32_t MaskCellsInRectScalar(const uint32_t* xs, const uint32_t* ys,
                                       size_t n, uint32_t x0, uint32_t y0,
                                       uint32_t x1, uint32_t y1) {
@@ -267,19 +253,6 @@ inline uint64_t MaskEqualSse2(const double* v, size_t n, double value) {
   return mask;
 }
 
-inline uint64_t MaskPointsInBoxAosSse2(const double* xy, size_t n, double lox,
-                                       double loy, double hix, double hiy) {
-  const __m128d vlo = _mm_set_pd(loy, lox);  // lane0 = x, lane1 = y
-  const __m128d vhi = _mm_set_pd(hiy, hix);
-  uint64_t mask = 0;
-  for (size_t i = 0; i < n; ++i) {
-    __m128d p = _mm_loadu_pd(xy + 2 * i);
-    __m128d out = _mm_or_pd(_mm_cmplt_pd(p, vlo), _mm_cmpge_pd(p, vhi));
-    if (_mm_movemask_pd(out) == 0) mask |= uint64_t{1} << i;
-  }
-  return mask;
-}
-
 inline uint32_t MaskCellsInRectSse2(const uint32_t* xs, const uint32_t* ys,
                                     size_t n, uint32_t x0, uint32_t y0,
                                     uint32_t x1, uint32_t y1) {
@@ -391,28 +364,6 @@ POPAN_TARGET_AVX2 inline uint64_t MaskEqualAvx2(const double* v, size_t n,
   return mask;
 }
 
-POPAN_TARGET_AVX2 inline uint64_t MaskPointsInBoxAosAvx2(
-    const double* xy, size_t n, double lox, double loy, double hix,
-    double hiy) {
-  const __m256d vlo = _mm256_set_pd(loy, lox, loy, lox);
-  const __m256d vhi = _mm256_set_pd(hiy, hix, hiy, hix);
-  uint64_t mask = 0;
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    __m256d p = _mm256_loadu_pd(xy + 2 * i);  // [x0 y0 x1 y1]
-    __m256d out = _mm256_or_pd(_mm256_cmp_pd(p, vlo, _CMP_LT_OQ),
-                               _mm256_cmp_pd(p, vhi, _CMP_GE_OQ));
-    unsigned m = static_cast<unsigned>(_mm256_movemask_pd(out));
-    if ((m & 0x3u) == 0) mask |= uint64_t{1} << i;
-    if ((m & 0xcu) == 0) mask |= uint64_t{1} << (i + 1);
-  }
-  if (i < n) {
-    mask |= MaskPointsInBoxAosSse2(xy + 2 * i, n - i, lox, loy, hix, hiy)
-            << i;
-  }
-  return mask;
-}
-
 POPAN_TARGET_AVX2 inline void QuantizeClampedAvx2(const double* v, size_t n,
                                                   double scale,
                                                   uint32_t max_q,
@@ -513,23 +464,6 @@ inline uint64_t MaskEqualNeon(const double* v, size_t n, double value) {
   return mask;
 }
 
-inline uint64_t MaskPointsInBoxAosNeon(const double* xy, size_t n, double lox,
-                                       double loy, double hix, double hiy) {
-  float64x2_t vlo = vdupq_n_f64(lox);
-  vlo = vsetq_lane_f64(loy, vlo, 1);
-  float64x2_t vhi = vdupq_n_f64(hix);
-  vhi = vsetq_lane_f64(hiy, vhi, 1);
-  uint64_t mask = 0;
-  for (size_t i = 0; i < n; ++i) {
-    float64x2_t p = vld1q_f64(xy + 2 * i);
-    uint64x2_t out = vorrq_u64(vcltq_f64(p, vlo), vcgeq_f64(p, vhi));
-    if ((vgetq_lane_u64(out, 0) | vgetq_lane_u64(out, 1)) == 0) {
-      mask |= uint64_t{1} << i;
-    }
-  }
-  return mask;
-}
-
 #endif  // POPAN_SIMD_NEON
 
 }  // namespace detail
@@ -576,28 +510,6 @@ inline uint64_t MaskEqual(const double* v, size_t n, double value) {
 #endif
     default:
       return detail::MaskEqualScalar(v, n, value);
-  }
-}
-
-/// Interleaved (x, y) pairs `xy[2i], xy[2i+1]`: bit i (i < n <= 64) is set
-/// iff the point is inside the half-open box [lox,hix) x [loy,hiy).
-inline uint64_t MaskPointsInBoxAos(const double* xy, size_t n, double lox,
-                                   double loy, double hix, double hiy) {
-  switch (ActiveIsa()) {
-#if defined(POPAN_SIMD_HAS_AVX2_TARGET)
-    case Isa::kAvx2:
-      return detail::MaskPointsInBoxAosAvx2(xy, n, lox, loy, hix, hiy);
-#endif
-#if defined(POPAN_SIMD_X86)
-    case Isa::kSse2:
-      return detail::MaskPointsInBoxAosSse2(xy, n, lox, loy, hix, hiy);
-#endif
-#if defined(POPAN_SIMD_NEON)
-    case Isa::kNeon:
-      return detail::MaskPointsInBoxAosNeon(xy, n, lox, loy, hix, hiy);
-#endif
-    default:
-      return detail::MaskPointsInBoxAosScalar(xy, n, lox, loy, hix, hiy);
   }
 }
 

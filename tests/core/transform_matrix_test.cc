@@ -158,8 +158,11 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values<size_t>(1, 2, 3, 4, 6, 8, 16, 32),
                      testing::Values<size_t>(2, 4, 8, 16)),
     [](const testing::TestParamInfo<std::tuple<size_t, size_t>>& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "_c" +
-             std::to_string(std::get<1>(info.param));
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_c";
+      name += std::to_string(std::get<1>(info.param));
+      return name;
     });
 
 TEST(SkewedSplitRowTest, UniformSkewReducesToStandardRow) {

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,38 +34,74 @@ std::vector<Point2> UniformPoints(size_t n, uint64_t seed) {
   return points;
 }
 
-/// A mixed bag of specs, including a partial-match pinned to a stored
-/// coordinate so its result set is nonempty.
-std::vector<QuerySpec> MixedSpecs(const std::vector<Point2>& points) {
+/// A mixed bag of specs, including a partial-match pinned to the
+/// coordinate of a `stored` point so its result set is nonempty.
+std::vector<QuerySpec> MixedSpecs(const Point2& stored) {
   std::vector<QuerySpec> specs;
   specs.push_back(QuerySpec::Range(
       Box2(Point2(0.1, 0.2), Point2(0.6, 0.9))));
   specs.push_back(QuerySpec::Range(
       Box2(Point2(0.0, 0.0), Point2(1.0, 1.0))));
-  specs.push_back(QuerySpec::PartialMatch(0, points.front().x()));
+  specs.push_back(QuerySpec::PartialMatch(0, stored.x()));
   specs.push_back(QuerySpec::PartialMatch(1, 0.5));
   specs.push_back(QuerySpec::NearestK(Point2(0.3, 0.7), 5));
   specs.push_back(QuerySpec::NearestK(Point2(0.9, 0.1), 1));
   return specs;
 }
 
+/// (depth, occupancy) of every leaf in VisitLeaves order: the tree's shape.
+template <typename Tree>
+std::vector<std::pair<size_t, size_t>> LeafSequence(const Tree& tree) {
+  std::vector<std::pair<size_t, size_t>> leaves;
+  tree.VisitLeaves([&leaves](const Box2&, size_t depth, size_t occupancy) {
+    leaves.emplace_back(depth, occupancy);
+  });
+  return leaves;
+}
+
 // Execute against an epoch snapshot must be bitwise identical — results
 // AND cost counters — to Execute against a stop-the-world PrTree holding
-// the same points: same algorithms, same traversal order, frozen nodes.
+// the same points: one shared traversal, same node shape, frozen nodes.
+// Capacities above the 8-point inline leaf and max_depth 3 (truncated
+// leaves absorbing overflow) make the snapshot path-copy spilled leaves;
+// interleaved erases exercise swap-removal and collapse.
 TEST(SnapshotQueryTest, ExecuteMatchesPrQuadtreeBitwise) {
-  std::vector<Point2> points = UniformPoints(500, 11);
-  spatial::PrTree<2> reference(Box2::UnitCube(), Options());
-  spatial::CowPrQuadtree cow(Box2::UnitCube(), Options());
-  for (const Point2& p : points) {
-    ASSERT_TRUE(reference.Insert(p).ok());
-    ASSERT_TRUE(cow.Insert(p).ok());
-  }
-  spatial::SnapshotView2 snapshot = cow.Snapshot();
-  for (const QuerySpec& spec : MixedSpecs(points)) {
-    QueryResult from_tree = Execute(reference, spec);
-    QueryResult from_snapshot = Execute(snapshot, spec);
-    EXPECT_EQ(from_snapshot.points, from_tree.points) << spec.ToString();
-    EXPECT_EQ(from_snapshot.cost, from_tree.cost) << spec.ToString();
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    for (size_t capacity : {1u, 4u, 8u, 12u}) {
+      for (size_t max_depth : {3u, 32u}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " capacity "
+                                        << capacity << " max_depth "
+                                        << max_depth);
+        spatial::PrTreeOptions options;
+        options.capacity = capacity;
+        options.max_depth = max_depth;
+        std::vector<Point2> points = UniformPoints(500, seed);
+        spatial::PrTree<2> reference(Box2::UnitCube(), options);
+        spatial::CowPrQuadtree cow(Box2::UnitCube(), options);
+        for (size_t i = 0; i < points.size(); ++i) {
+          ASSERT_TRUE(reference.Insert(points[i]).ok());
+          ASSERT_TRUE(cow.Insert(points[i]).ok());
+          if (i % 3 == 2) {  // erases points[0, 166), each once
+            ASSERT_TRUE(reference.Erase(points[i / 3]).ok());
+            ASSERT_TRUE(cow.Erase(points[i / 3]).ok());
+          }
+        }
+        ASSERT_TRUE(reference.CheckInvariants().ok());
+        ASSERT_TRUE(cow.CheckInvariants().ok());
+        spatial::SnapshotView2 snapshot = cow.Snapshot();
+        ASSERT_TRUE(snapshot.CheckInvariants().ok());
+        EXPECT_EQ(snapshot.LiveCensus(), reference.LiveCensus());
+        EXPECT_EQ(LeafSequence(snapshot), LeafSequence(reference));
+        EXPECT_EQ(snapshot.AllPoints(), reference.AllPoints());
+        for (const QuerySpec& spec : MixedSpecs(points.back())) {
+          QueryResult from_tree = Execute(reference, spec);
+          QueryResult from_snapshot = Execute(snapshot, spec);
+          EXPECT_EQ(from_snapshot.points, from_tree.points)
+              << spec.ToString();
+          EXPECT_EQ(from_snapshot.cost, from_tree.cost) << spec.ToString();
+        }
+      }
+    }
   }
 }
 
@@ -98,7 +136,7 @@ TEST(SnapshotQueryTest, BatchOnCowTreeMatchesStopTheWorldBatch) {
     ASSERT_TRUE(reference.Insert(p).ok());
     ASSERT_TRUE(cow.Insert(p).ok());
   }
-  std::vector<QuerySpec> specs = MixedSpecs(points);
+  std::vector<QuerySpec> specs = MixedSpecs(points.front());
   sim::ExperimentRunner serial(1);
   sim::ExperimentRunner parallel(4);
   BatchOutcome want = RunQueryBatch(reference, specs, serial);

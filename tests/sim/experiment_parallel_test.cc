@@ -36,12 +36,14 @@ std::string RenderTable(const ExperimentResult& result) {
   table.AddRow({"mean leaves", TextTable::Fmt(result.mean_leaves, 17)});
   table.AddRow({"summary", result.occupancy_summary.ToString(12)});
   for (size_t i = 0; i < result.proportions.size(); ++i) {
-    table.AddRow({"p" + std::to_string(i),
-                  TextTable::Fmt(result.proportions[i], 17)});
+    std::string label = "p";
+    label += std::to_string(i);
+    table.AddRow({label, TextTable::Fmt(result.proportions[i], 17)});
   }
   for (size_t i = 0; i < result.per_trial_occupancy.size(); ++i) {
-    table.AddRow({"trial " + std::to_string(i),
-                  TextTable::Fmt(result.per_trial_occupancy[i], 17)});
+    std::string label = "trial ";
+    label += std::to_string(i);
+    table.AddRow({label, TextTable::Fmt(result.per_trial_occupancy[i], 17)});
   }
   return table.Render();
 }

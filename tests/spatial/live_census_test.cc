@@ -12,7 +12,6 @@
 #include "gtest/gtest.h"
 #include "spatial/census.h"
 #include "spatial/extendible_hash.h"
-#include "spatial/inline_buffer.h"
 #include "spatial/pr_tree.h"
 #include "util/random.h"
 
@@ -169,39 +168,6 @@ TEST(LiveCensusTest, AddLeavesMatchesRepeatedAddLeaf) {
   EXPECT_EQ(bulk.ItemCount(), 15u);
   EXPECT_EQ(bulk.CountAt(3, 2), 5u);
   EXPECT_EQ(bulk.CountAt(0, 4), 2u);
-}
-
-TEST(LiveCensusTest, InlineBufferSpillAndUnspill) {
-  InlineBuffer<int, 4> buf;
-  EXPECT_EQ(buf.inline_capacity(), 4u);
-  for (int i = 0; i < 4; ++i) buf.push_back(i);
-  EXPECT_FALSE(buf.spilled());
-  buf.push_back(4);  // crosses the threshold
-  EXPECT_TRUE(buf.spilled());
-  EXPECT_EQ(buf.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(buf[static_cast<size_t>(i)], i);
-  buf.SwapRemoveAt(0);  // back to 4 elements: un-spills
-  EXPECT_FALSE(buf.spilled());
-  EXPECT_EQ(buf.size(), 4u);
-  // Contents are {4, 1, 2, 3} after the swap-remove.
-  EXPECT_EQ(buf[0], 4);
-  EXPECT_EQ(buf[1], 1);
-  EXPECT_EQ(buf[3], 3);
-  buf.clear();
-  EXPECT_TRUE(buf.empty());
-}
-
-TEST(LiveCensusTest, InlineBufferDeepSpill) {
-  InlineBuffer<int, 2> buf;
-  for (int i = 0; i < 100; ++i) buf.push_back(i);
-  EXPECT_TRUE(buf.spilled());
-  EXPECT_EQ(buf.size(), 100u);
-  int sum = 0;
-  for (int v : buf) sum += v;
-  EXPECT_EQ(sum, 4950);
-  while (buf.size() > 0) buf.SwapRemoveAt(buf.size() - 1);
-  EXPECT_FALSE(buf.spilled());
-  EXPECT_TRUE(buf.empty());
 }
 
 }  // namespace

@@ -180,9 +180,13 @@ INSTANTIATE_TEST_SUITE_P(
                      testing::Values<size_t>(10, 100, 400),
                      testing::Values<uint64_t>(1, 42)),
     [](const testing::TestParamInfo<PrTreePropertyTest::ParamType>& info) {
-      return "m" + std::to_string(std::get<0>(info.param)) + "_n" +
-             std::to_string(std::get<1>(info.param)) + "_s" +
-             std::to_string(std::get<2>(info.param));
+      std::string name = "m";
+      name += std::to_string(std::get<0>(info.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(info.param));
+      name += "_s";
+      name += std::to_string(std::get<2>(info.param));
+      return name;
     });
 
 }  // namespace

@@ -91,7 +91,7 @@ TEST(LinearSerializationTest, RejectsTamperedCode) {
   // Flip the first leaf's code bits field.
   size_t pos = text.find("\nleaf ");
   ASSERT_NE(pos, std::string::npos);
-  text.replace(pos + 6, 1, "9");
+  text[pos + 6] = '9';
   EXPECT_FALSE(DeserializeLinearPrQuadtree(text).ok());
 }
 

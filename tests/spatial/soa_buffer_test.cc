@@ -59,6 +59,68 @@ TEST(SoaBufferTest, SpillsPastInlineCapacityAndUnspills) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(b.Get(i), P(i, -i));
 }
 
+TEST(SoaBufferTest, SpillGrowsOneBlockGeometrically) {
+  Buffer b;
+  for (int i = 0; i < 5; ++i) b.push_back(P(i, -i));
+  ASSERT_TRUE(b.spilled());
+  // First spill: one block of kInline + 1 elements per lane, the lanes
+  // back to back inside it.
+  EXPECT_EQ(b.lane_capacity(), 5u);
+  EXPECT_EQ(b.lane(1) - b.lane(0), 5);
+  for (int i = 5; i < 100; ++i) b.push_back(P(i, -i));
+  EXPECT_EQ(b.lane_capacity(), 160u);  // 5 -> 10 -> 20 -> 40 -> 80 -> 160
+  EXPECT_EQ(b.lane(1) - b.lane(0), 160);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(b.Get(i), P(i, -i));
+  while (!b.empty()) b.SwapRemoveAt(b.size() - 1);
+  EXPECT_FALSE(b.spilled());
+}
+
+TEST(SoaBufferTest, UnspillKeepsBlockAndRespillReusesIt) {
+  Buffer b;
+  for (int i = 0; i < 6; ++i) b.push_back(P(i, 10 + i));
+  const size_t cap = b.lane_capacity();
+  b.SwapRemoveAt(0);  // {5, 1, 2, 3, 4}: still spilled
+  EXPECT_TRUE(b.spilled());
+  b.SwapRemoveAt(1);  // {5, 4, 2, 3}: back inline
+  EXPECT_FALSE(b.spilled());
+  EXPECT_EQ(b.lane_capacity(), cap);
+  const int want[] = {5, 4, 2, 3};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(b.Get(i), P(want[i], 10 + want[i]));
+    EXPECT_EQ(b.lane(0)[i], want[i]);
+  }
+  b.push_back(P(7.0, 17.0));  // re-spill into the kept block
+  EXPECT_TRUE(b.spilled());
+  EXPECT_EQ(b.lane_capacity(), cap);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(b.Get(i), P(want[i], 10 + want[i]));
+  EXPECT_EQ(b.Get(4), P(7.0, 17.0));
+}
+
+TEST(SoaBufferTest, CopiesOfASpilledBufferAreIndependent) {
+  Buffer a;
+  for (int i = 0; i < 7; ++i) a.push_back(P(i, 2 * i));
+  Buffer b = a;
+  ASSERT_TRUE(b.spilled());
+  EXPECT_EQ(a.lane_capacity(), 10u);
+  EXPECT_EQ(b.lane_capacity(), 7u);  // a copy carries no spare capacity
+  b.SwapRemoveAt(0);
+  b.push_back(P(100.0, 200.0));
+  for (int i = 0; i < 7; ++i) EXPECT_EQ(a.Get(i), P(i, 2 * i));
+  EXPECT_EQ(b.size(), 7u);
+  EXPECT_EQ(b.Get(0), P(6.0, 12.0));
+  EXPECT_EQ(b.Get(6), P(100.0, 200.0));
+  Buffer c;
+  c = b;
+  EXPECT_TRUE(c.spilled());
+  for (size_t i = 0; i < 7; ++i) EXPECT_EQ(c.Get(i), b.Get(i));
+  // An un-spilled buffer keeps its block; a copy of it has none.
+  while (b.size() > 4) b.SwapRemoveAt(0);
+  EXPECT_GT(b.lane_capacity(), 0u);
+  Buffer d = b;
+  EXPECT_EQ(d.lane_capacity(), 0u);
+  for (size_t i = 0; i < 4; ++i) EXPECT_EQ(d.Get(i), b.Get(i));
+}
+
 TEST(SoaBufferTest, SwapRemoveMovesLastIntoHole) {
   Buffer b;
   b.push_back(P(0.0, 0.0));

@@ -82,31 +82,6 @@ TEST(SimdTest, MaskEqualHandlesSignedZeroAndNaN) {
   EXPECT_EQ(MaskEqual(v, 4, nan), 0u);
 }
 
-TEST(SimdTest, MaskPointsInBoxAosMatchesPerAxisMasks) {
-  Pcg32 rng(11);
-  for (int trial = 0; trial < 100; ++trial) {
-    double xy[128];
-    double xs[64];
-    double ys[64];
-    const size_t n = 1 + static_cast<size_t>(rng.NextDouble() * 64) % 64;
-    for (size_t i = 0; i < n; ++i) {
-      xs[i] = rng.NextDouble();
-      ys[i] = rng.NextDouble();
-      xy[2 * i] = xs[i];
-      xy[2 * i + 1] = ys[i];
-    }
-    const double lox = rng.NextDouble(0.0, 0.5);
-    const double loy = rng.NextDouble(0.0, 0.5);
-    const double hix = lox + rng.NextDouble(0.0, 0.5);
-    const double hiy = loy + rng.NextDouble(0.0, 0.5);
-    const uint64_t expected = MaskInHalfOpen(xs, n, lox, hix) &
-                              MaskInHalfOpen(ys, n, loy, hiy);
-    EXPECT_EQ(MaskPointsInBoxAos(xy, n, lox, loy, hix, hiy), expected);
-    ScopedForceScalar scoped(true);
-    EXPECT_EQ(MaskPointsInBoxAos(xy, n, lox, loy, hix, hiy), expected);
-  }
-}
-
 TEST(SimdTest, MaskCellsInRectHalfOpen) {
   const uint32_t xs[] = {0, 1, 2, 3, 4};
   const uint32_t ys[] = {0, 0, 5, 5, 9};
