@@ -1,12 +1,23 @@
-// Microbenchmarks (google-benchmark) of the data-structure substrate:
-// insertion and query throughput of the PR quadtree, point quadtree, grid
-// file and extendible hashing under a shared uniform workload, plus the
-// PR tree across capacities — the operational cost picture behind the
-// paper's storage analysis.
+// Micro-benchmarks of the data-structure substrate: insertion and query
+// throughput of the PR quadtree, point quadtree, grid file, EXCELL,
+// extendible hashing and the linear quadtree under a shared uniform
+// workload, plus the PR tree across capacities — the operational cost
+// picture behind the paper's storage analysis.
+//
+// Every case runs three times and keeps the fastest. The cases fold their
+// results (successful inserts, hits, result sizes) into one checksum, so
+// no work can be optimized away. Emits BENCH_structures.json (see
+// sim/bench_json.h): <case>_ops_per_sec per case, plus the checksum.
 
-#include <benchmark/benchmark.h>
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <string>
+#include <vector>
 
-#include "sim/distributions.h"
+#include "sim/bench_json.h"
+#include "sim/table.h"
 #include "spatial/excell.h"
 #include "spatial/extendible_hash.h"
 #include "spatial/grid_file.h"
@@ -20,6 +31,7 @@ namespace {
 
 using geo::Box2;
 using geo::Point2;
+using sim::TextTable;
 
 std::vector<Point2> UniformPoints(size_t n, uint64_t seed) {
   Pcg32 rng(seed);
@@ -31,203 +43,186 @@ std::vector<Point2> UniformPoints(size_t n, uint64_t seed) {
   return out;
 }
 
-void BM_PrTreeInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t capacity = static_cast<size_t>(state.range(1));
-  std::vector<Point2> points = UniformPoints(n, 1);
-  for (auto _ : state) {
-    spatial::PrTreeOptions options;
-    options.capacity = capacity;
-    spatial::PrQuadtree tree(Box2::UnitCube(), options);
-    for (const Point2& p : points) {
-      benchmark::DoNotOptimize(tree.Insert(p));
-    }
-    benchmark::DoNotOptimize(tree.LeafCount());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_PrTreeInsert)
-    ->Args({1000, 1})
-    ->Args({1000, 8})
-    ->Args({10000, 1})
-    ->Args({10000, 8});
-
-void BM_PointQuadtreeInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Point2> points = UniformPoints(n, 1);
-  for (auto _ : state) {
-    spatial::PointQuadtree tree;
-    for (const Point2& p : points) {
-      benchmark::DoNotOptimize(tree.Insert(p));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_PointQuadtreeInsert)->Arg(1000)->Arg(10000);
-
-void BM_GridFileInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Point2> points = UniformPoints(n, 1);
-  for (auto _ : state) {
-    spatial::GridFileOptions options;
-    options.bucket_capacity = 8;
-    spatial::GridFile grid(Box2::UnitCube(), options);
-    for (const Point2& p : points) {
-      benchmark::DoNotOptimize(grid.Insert(p));
-    }
-    benchmark::DoNotOptimize(grid.BucketCount());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_GridFileInsert)->Arg(1000)->Arg(10000);
-
-void BM_ExtendibleHashInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
+std::vector<uint64_t> RandomKeys(size_t n) {
   Pcg32 rng(1);
   std::vector<uint64_t> keys;
   keys.reserve(n);
   for (size_t i = 0; i < n; ++i) keys.push_back(rng.Next64());
-  for (auto _ : state) {
-    spatial::ExtendibleHashOptions options;
-    options.bucket_capacity = 8;
-    spatial::ExtendibleHash table(options);
-    for (uint64_t key : keys) {
-      benchmark::DoNotOptimize(table.Insert(key));
-    }
-    benchmark::DoNotOptimize(table.BucketCount());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  return keys;
 }
-BENCHMARK(BM_ExtendibleHashInsert)->Arg(1000)->Arg(10000);
 
-void BM_PrTreeRangeQuery(benchmark::State& state) {
-  const size_t n = 10000;
+spatial::PrQuadtree MakePrTree(size_t capacity) {
   spatial::PrTreeOptions options;
-  options.capacity = static_cast<size_t>(state.range(0));
-  spatial::PrQuadtree tree(Box2::UnitCube(), options);
-  for (const Point2& p : UniformPoints(n, 1)) tree.Insert(p).ok();
-  Pcg32 rng(2);
-  for (auto _ : state) {
-    double x = rng.NextDouble(0.0, 0.9);
-    double y = rng.NextDouble(0.0, 0.9);
-    Box2 query(Point2(x, y), Point2(x + 0.1, y + 0.1));
-    benchmark::DoNotOptimize(tree.RangeQuery(query));
-  }
+  options.capacity = capacity;
+  return spatial::PrQuadtree(Box2::UnitCube(), options);
 }
-BENCHMARK(BM_PrTreeRangeQuery)->Arg(1)->Arg(8);
 
-void BM_PrTreeNearest(benchmark::State& state) {
-  spatial::PrTreeOptions options;
-  options.capacity = static_cast<size_t>(state.range(0));
-  spatial::PrQuadtree tree(Box2::UnitCube(), options);
-  for (const Point2& p : UniformPoints(10000, 1)) tree.Insert(p).ok();
-  Pcg32 rng(3);
-  for (auto _ : state) {
-    Point2 target(rng.NextDouble(), rng.NextDouble());
-    benchmark::DoNotOptimize(tree.Nearest(target));
+/// Times the cases and collects their rates into a table and a record.
+class Suite {
+ public:
+  Suite() : table_("Data-structure throughput"), json_("structures") {
+    table_.SetHeader({"case", "ops", "ns/op", "ops/sec"});
   }
-}
-BENCHMARK(BM_PrTreeNearest)->Arg(1)->Arg(8);
 
-void BM_PrTreeContains(benchmark::State& state) {
-  spatial::PrTreeOptions options;
-  options.capacity = 4;
-  spatial::PrQuadtree tree(Box2::UnitCube(), options);
-  std::vector<Point2> points = UniformPoints(10000, 1);
-  for (const Point2& p : points) tree.Insert(p).ok();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.Contains(points[i % points.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_PrTreeContains);
-
-void BM_GridFileContains(benchmark::State& state) {
-  spatial::GridFileOptions options;
-  options.bucket_capacity = 4;
-  spatial::GridFile grid(Box2::UnitCube(), options);
-  std::vector<Point2> points = UniformPoints(10000, 1);
-  for (const Point2& p : points) grid.Insert(p).ok();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(grid.Contains(points[i % points.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_GridFileContains);
-
-void BM_ExtendibleHashContains(benchmark::State& state) {
-  spatial::ExtendibleHashOptions options;
-  options.bucket_capacity = 8;
-  spatial::ExtendibleHash table(options);
-  Pcg32 rng(1);
-  std::vector<uint64_t> keys;
-  for (size_t i = 0; i < 10000; ++i) keys.push_back(rng.Next64());
-  for (uint64_t key : keys) table.Insert(key).ok();
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Contains(keys[i % keys.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_ExtendibleHashContains);
-
-void BM_ExcellInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Point2> points = UniformPoints(n, 1);
-  for (auto _ : state) {
-    spatial::ExcellOptions options;
-    options.bucket_capacity = 8;
-    spatial::Excell table(Box2::UnitCube(), options);
-    for (const Point2& p : points) {
-      benchmark::DoNotOptimize(table.Insert(p));
+  /// Times `run`, which performs `ops` operations and returns a value
+  /// folded into the checksum; `setup` runs untimed before each round.
+  void Time(const std::string& name, size_t ops,
+            const std::function<uint64_t()>& run,
+            const std::function<void()>& setup = [] {}) {
+    double best = 1e300;
+    for (int round = 0; round < 3; ++round) {
+      setup();
+      sim::WallTimer timer;
+      checksum_ += run();
+      best = std::min(best, timer.Seconds());
     }
-    benchmark::DoNotOptimize(table.BucketCount());
+    const double rate = best > 0.0 ? static_cast<double>(ops) / best : 0.0;
+    table_.AddRow({name, TextTable::Fmt(ops),
+                   TextTable::Fmt(best * 1e9 / static_cast<double>(ops), 1),
+                   TextTable::Fmt(rate, 0)});
+    json_.Add(name + "_ops_per_sec", rate);
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ExcellInsert)->Arg(1000)->Arg(10000);
 
-void BM_LinearQuadtreeBulkLoad(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Point2> points = UniformPoints(n, 1);
-  for (auto _ : state) {
-    auto tree = spatial::LinearPrQuadtree::BulkLoad(Box2::UnitCube(), points);
-    benchmark::DoNotOptimize(tree.ok() ? tree->LeafCount() : 0);
+  void Finish() {
+    json_.Add("checksum", checksum_);
+    std::printf("%s\nchecksum %llu\n", table_.Render().c_str(),
+                static_cast<unsigned long long>(checksum_));
+    const std::string path = json_.WriteFile();
+    if (!path.empty()) std::printf("wrote %s\n", path.c_str());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_LinearQuadtreeBulkLoad)->Arg(1000)->Arg(10000);
 
-void BM_LinearQuadtreeContains(benchmark::State& state) {
-  std::vector<Point2> points = UniformPoints(10000, 1);
-  auto tree = spatial::LinearPrQuadtree::BulkLoad(Box2::UnitCube(), points);
-  size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree->Contains(points[i % points.size()]));
-    ++i;
-  }
-}
-BENCHMARK(BM_LinearQuadtreeContains);
+ private:
+  TextTable table_;
+  sim::BenchJson json_;
+  uint64_t checksum_ = 0;
+};
 
-void BM_PrTreeErase(benchmark::State& state) {
-  std::vector<Point2> points = UniformPoints(2000, 9);
-  for (auto _ : state) {
-    state.PauseTiming();
-    spatial::PrTreeOptions options;
-    options.capacity = 2;
-    spatial::PrQuadtree tree(Box2::UnitCube(), options);
-    for (const Point2& p : points) tree.Insert(p).ok();
-    state.ResumeTiming();
-    for (const Point2& p : points) {
-      benchmark::DoNotOptimize(tree.Erase(p));
+template <typename Structure, typename Item>
+uint64_t InsertAll(Structure& s, const std::vector<Item>& items) {
+  uint64_t ok = 0;
+  for (const Item& item : items) ok += s.Insert(item).ok() ? 1 : 0;
+  return ok;
+}
+
+template <typename Structure, typename Item>
+uint64_t ContainsAll(const Structure& s, const std::vector<Item>& items) {
+  uint64_t hits = 0;
+  for (const Item& item : items) hits += s.Contains(item) ? 1 : 0;
+  return hits;
+}
+
+int Run() {
+  Suite suite;
+  const std::vector<Point2> points = UniformPoints(10000, 1);
+  const std::vector<uint64_t> keys = RandomKeys(10000);
+
+  for (size_t n : {size_t{1000}, size_t{10000}}) {
+    const std::vector<Point2> pts(points.begin(), points.begin() + n);
+    const std::vector<uint64_t> ks(keys.begin(), keys.begin() + n);
+    const std::string at = "_n" + std::to_string(n);
+    for (size_t m : {size_t{1}, size_t{8}}) {
+      suite.Time("pr_insert" + at + "_m" + std::to_string(m), n, [&] {
+        spatial::PrQuadtree tree = MakePrTree(m);
+        return InsertAll(tree, pts);
+      });
     }
+    suite.Time("point_quadtree_insert" + at, n, [&] {
+      spatial::PointQuadtree tree;
+      return InsertAll(tree, pts);
+    });
+    suite.Time("grid_file_insert" + at, n, [&] {
+      spatial::GridFileOptions options;
+      options.bucket_capacity = 8;
+      spatial::GridFile grid(Box2::UnitCube(), options);
+      return InsertAll(grid, pts);
+    });
+    suite.Time("extendible_hash_insert" + at, n, [&] {
+      spatial::ExtendibleHashOptions options;
+      options.bucket_capacity = 8;
+      spatial::ExtendibleHash table(options);
+      return InsertAll(table, ks);
+    });
+    suite.Time("excell_insert" + at, n, [&] {
+      spatial::ExcellOptions options;
+      options.bucket_capacity = 8;
+      spatial::Excell table(Box2::UnitCube(), options);
+      return InsertAll(table, pts);
+    });
+    suite.Time("linear_bulk_load" + at, n, [&] {
+      auto tree = spatial::LinearPrQuadtree::BulkLoad(Box2::UnitCube(), pts);
+      return static_cast<uint64_t>(tree.ok() ? tree->LeafCount() : 0);
+    });
   }
-  state.SetItemsProcessed(state.iterations() * 2000);
+
+  const size_t kQueries = 10000;
+  for (size_t m : {size_t{1}, size_t{8}}) {
+    spatial::PrQuadtree tree = MakePrTree(m);
+    InsertAll(tree, points);
+    suite.Time("pr_range_query_m" + std::to_string(m), kQueries, [&] {
+      Pcg32 rng(2);
+      uint64_t found = 0;
+      for (size_t i = 0; i < kQueries; ++i) {
+        const double x = rng.NextDouble(0.0, 0.9);
+        const double y = rng.NextDouble(0.0, 0.9);
+        found += tree.RangeQuery(Box2(Point2(x, y), Point2(x + 0.1, y + 0.1)))
+                     .size();
+      }
+      return found;
+    });
+    suite.Time("pr_nearest_m" + std::to_string(m), kQueries, [&] {
+      Pcg32 rng(3);
+      uint64_t found = 0;
+      for (size_t i = 0; i < kQueries; ++i) {
+        found += tree.Nearest(Point2(rng.NextDouble(), rng.NextDouble())).ok();
+      }
+      return found;
+    });
+  }
+
+  spatial::PrQuadtree pr = MakePrTree(4);
+  InsertAll(pr, points);
+  suite.Time("pr_contains", points.size(),
+             [&] { return ContainsAll(pr, points); });
+  spatial::GridFileOptions grid_options;
+  grid_options.bucket_capacity = 4;
+  spatial::GridFile grid(Box2::UnitCube(), grid_options);
+  InsertAll(grid, points);
+  suite.Time("grid_file_contains", points.size(),
+             [&] { return ContainsAll(grid, points); });
+  spatial::ExtendibleHashOptions hash_options;
+  hash_options.bucket_capacity = 8;
+  spatial::ExtendibleHash table(hash_options);
+  InsertAll(table, keys);
+  suite.Time("extendible_hash_contains", keys.size(),
+             [&] { return ContainsAll(table, keys); });
+  auto linear = spatial::LinearPrQuadtree::BulkLoad(Box2::UnitCube(), points);
+  if (linear.ok()) {
+    suite.Time("linear_contains", points.size(),
+               [&] { return ContainsAll(*linear, points); });
+  }
+
+  // Erase from a freshly built capacity-2 tree; the build is untimed.
+  const std::vector<Point2> erase_points = UniformPoints(2000, 9);
+  spatial::PrQuadtree erase_tree = MakePrTree(2);
+  suite.Time(
+      "pr_erase", erase_points.size(),
+      [&] {
+        uint64_t erased = 0;
+        for (const Point2& p : erase_points) {
+          erased += erase_tree.Erase(p).ok() ? 1 : 0;
+        }
+        return erased;
+      },
+      [&] {
+        erase_tree = MakePrTree(2);
+        InsertAll(erase_tree, erase_points);
+      });
+
+  suite.Finish();
+  return 0;
 }
-BENCHMARK(BM_PrTreeErase);
 
 }  // namespace
 }  // namespace popan
+
+int main() { return popan::Run(); }

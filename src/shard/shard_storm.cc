@@ -39,41 +39,6 @@ uint64_t PointsChecksum(const std::vector<geo::Point2>& points) {
   return hash;
 }
 
-/// The storm trace. Without a drain phase this is exactly the shared sim
-/// trace; with one, the same construction switches insert fraction at
-/// the drain boundary (every operation still replays successfully in
-/// order, so sequence k corresponds to the first k operations).
-std::vector<sim::StormOp> MakeTrace(const ShardStormConfig& config) {
-  if (config.drain_insert_fraction < 0.0) {
-    return sim::MakeStormTrace(config.num_ops, config.insert_fraction,
-                               config.seed);
-  }
-  const size_t drain_at = static_cast<size_t>(
-      static_cast<double>(config.num_ops) * config.drain_after);
-  Pcg32 rng(DeriveSeed(config.seed, 0));
-  std::vector<sim::StormOp> trace;
-  trace.reserve(config.num_ops);
-  std::vector<geo::Point2> live;
-  for (size_t i = 0; i < config.num_ops; ++i) {
-    const double fraction = i < drain_at ? config.insert_fraction
-                                         : config.drain_insert_fraction;
-    sim::StormOp op;
-    if (live.empty() || rng.NextDouble() < fraction) {
-      op.insert = true;
-      op.point = geo::Point2(rng.NextDouble(), rng.NextDouble());
-      live.push_back(op.point);
-    } else {
-      op.insert = false;
-      size_t victim = rng.NextBounded(static_cast<uint32_t>(live.size()));
-      op.point = live[victim];
-      live[victim] = live.back();
-      live.pop_back();
-    }
-    trace.push_back(op);
-  }
-  return trace;
-}
-
 /// The deterministic query battery: query `index` at `sequence` rotates
 /// range / partial-match / k-NN, a pure function of (config.seed,
 /// sequence, index) plus the trace (partial-match values are live
@@ -172,7 +137,9 @@ void AppendCheckpoint(const ShardStormConfig& config,
 [[nodiscard]] StatusOr<ShardStormResult> RunShardStorm(
     const ShardStormConfig& config, sim::ExperimentRunner& runner) {
   POPAN_CHECK(config.checkpoints >= 1);
-  const std::vector<sim::StormOp> trace = MakeTrace(config);
+  const std::vector<sim::StormOp> trace = sim::MakeStormTrace(
+      config.num_ops, config.insert_fraction, config.seed,
+      config.drain_insert_fraction, config.drain_after);
   const std::span<const sim::StormOp> trace_span(trace.data(),
                                                  trace.size());
   RouterOptions router_options;

@@ -87,14 +87,22 @@ std::string CompareRecord(const SnapshotRecord& record, uint64_t ref_size,
 }  // namespace
 
 std::vector<StormOp> MakeStormTrace(size_t num_ops, double insert_fraction,
-                                    uint64_t seed) {
+                                    uint64_t seed,
+                                    double drain_insert_fraction,
+                                    double drain_after) {
+  const size_t drain_at =
+      drain_insert_fraction < 0.0
+          ? num_ops
+          : static_cast<size_t>(static_cast<double>(num_ops) * drain_after);
   Pcg32 rng(DeriveSeed(seed, 0));
   std::vector<StormOp> trace;
   trace.reserve(num_ops);
   std::vector<geo::Point2> live;
   for (size_t i = 0; i < num_ops; ++i) {
+    const double fraction =
+        i < drain_at ? insert_fraction : drain_insert_fraction;
     StormOp op;
-    if (live.empty() || rng.NextDouble() < insert_fraction) {
+    if (live.empty() || rng.NextDouble() < fraction) {
       op.insert = true;
       op.point = geo::Point2(rng.NextDouble(), rng.NextDouble());
       live.push_back(op.point);

@@ -46,8 +46,14 @@ struct StormOp {
 /// `insert_fraction` (always, while empty), erases of a uniformly chosen
 /// live point otherwise. Every operation succeeds when replayed in order,
 /// so sequence number k corresponds exactly to the first k operations.
+/// A non-negative `drain_insert_fraction` adds a drain phase: operations
+/// from `drain_after * num_ops` onward insert with that probability
+/// instead (the population swells, then drains). Negative, the default,
+/// keeps one constant fraction.
 std::vector<StormOp> MakeStormTrace(size_t num_ops, double insert_fraction,
-                                    uint64_t seed);
+                                    uint64_t seed,
+                                    double drain_insert_fraction = -1.0,
+                                    double drain_after = 0.5);
 
 /// Replays the first `prefix` operations of `trace` into `tree` — the
 /// stop-the-world reference a pinned snapshot is compared against.

@@ -17,6 +17,7 @@
 #include "spatial/morton.h"
 #include "spatial/node_arena.h"
 #include "spatial/pr_tree_reader.h"
+#include "spatial/pr_tree_writer.h"
 #include "util/check.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -56,18 +57,20 @@ struct PrTreeOptions {
 ///    lane by lane, with the SIMD kernels of util/simd.h for leaves past
 ///    kScalarFilterMax points — bitwise identical to the scalar test on
 ///    every dispatch path.
-///  - Insert/Erase are iterative (explicit descent loops, the split
-///    cascade as a loop, collapse walking the recorded path), so deep
-///    trees cannot overflow the call stack.
+///  - Insert/Erase are PrTreeWriter (pr_tree_writer.h), shared with the
+///    copy-on-write CowPrTree: iterative (the split cascade as a loop,
+///    collapse walking the recorded path), so deep trees cannot overflow
+///    the call stack. This tree supplies the in-place node lifecycle.
 ///  - The read side (Contains, range / partial-match / k-NN queries, the
 ///    leaf walks, CheckInvariants) is PrTreeReader, shared verbatim with
 ///    the copy-on-write SnapshotView (pr_tree_reader.h).
-///  - The tree maintains a live occupancy-by-depth histogram, updated in
+///  - The writer maintains a live occupancy-by-depth histogram, updated in
 ///    O(1) at every insert/erase/split/collapse; LiveCensus() snapshots
 ///    it without walking the tree. TakeCensus (a full walk) remains the
 ///    independent cross-check, and CheckInvariants verifies both agree.
 template <size_t D>
-class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
+class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>,
+               public PrTreeWriter<PrTree<D>, PrNode<D, NodeIndex>> {
  public:
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
@@ -78,7 +81,6 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
       : bounds_(bounds), options_(options) {
     POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
     root_ = arena_.Allocate();
-    live_hist_.Add(0, 0);
   }
 
   PrTree(const PrTree&) = default;
@@ -95,14 +97,6 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
   /// The configured truncation depth.
   size_t max_depth() const { return options_.max_depth; }
 
-  /// Number of points stored.
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
-  /// Number of leaf nodes (the paper's "nodes": only leaves hold data and
-  /// only leaves are counted in the population censuses).
-  size_t LeafCount() const { return leaf_count_; }
-
   /// Total nodes including internal (gray) nodes.
   size_t NodeCount() const { return arena_.LiveCount(); }
 
@@ -117,103 +111,7 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
         expected_points / std::max<size_t>(1, options_.capacity) * 3 +
         kFanout + 1;
     arena_.Reserve(nodes);
-    split_points_.reserve(options_.capacity + 1);
-    split_codes_.reserve(options_.capacity + 1);
-    erase_path_.reserve(std::min<size_t>(options_.max_depth + 1, 128));
-  }
-
-  /// Inserts `p`. Returns OutOfRange if p is outside the root block and
-  /// AlreadyExists if an equal point is already stored.
-  [[nodiscard]] Status Insert(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::OutOfRange("point outside the tree bounds");
-    }
-    // Iterative descent to the leaf that owns p.
-    NodeIndex idx = root_;
-    BoxT box = bounds_;
-    size_t depth = 0;
-    while (!arena_.Get(idx).is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      idx = arena_.Get(idx).children[q];
-      box = box.Quadrant(q);
-      ++depth;
-    }
-    {
-      Node& leaf = arena_.Get(idx);
-      const size_t n = leaf.points.size();
-      for (size_t i = 0; i < n; ++i) {
-        if (leaf.points.Matches(i, p)) {
-          return Status::AlreadyExists("duplicate point");
-        }
-      }
-      if (n < options_.capacity || depth >= options_.max_depth) {
-        leaf.points.push_back(p);
-        live_hist_.Remove(depth, n);
-        live_hist_.Add(depth, n + 1);
-        ++size_;
-        return Status::OK();
-      }
-      // The splitting rule fires: the block would exceed capacity. Stash
-      // the m+1 points in the reusable scratch buffer; the leaf becomes an
-      // internal node below.
-      split_points_.clear();
-      for (size_t i = 0; i < n; ++i) split_points_.push_back(leaf.points.Get(i));
-      split_points_.push_back(p);
-      live_hist_.Remove(depth, n);
-    }
-    // Split cascade, iteratively: convert the current leaf into an
-    // internal node with 2^D fresh empty leaves. A child can only exceed
-    // capacity if it receives ALL m+1 points (capacity is m), so at most
-    // one child cascades — when every point lands in the same quadrant
-    // (the paper's "perhaps several times" case with probability 4^-m) —
-    // and the cascade is a simple loop, not a recursion.
-    for (;;) {
-      std::array<NodeIndex, kFanout> ch;
-      for (size_t q = 0; q < kFanout; ++q) ch[q] = arena_.Allocate();
-      {
-        // Re-fetch: the allocations above may have moved the slab.
-        Node& node = arena_.Get(idx);
-        node.is_leaf = false;
-        node.points.clear();
-        node.children = ch;
-      }
-      leaf_count_ += kFanout - 1;
-      for (size_t q = 0; q < kFanout; ++q) live_hist_.Add(depth + 1, 0);
-
-      std::array<size_t, kFanout> counts{};
-      split_codes_.clear();
-      for (const PointT& pt : split_points_) {
-        size_t q = box.QuadrantOf(pt);
-        split_codes_.push_back(static_cast<uint8_t>(q));
-        ++counts[q];
-      }
-      size_t sole = kFanout;  // the quadrant holding every point, if any
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] == split_points_.size()) sole = q;
-      }
-      if (sole != kFanout && depth + 1 < options_.max_depth) {
-        idx = ch[sole];
-        box = box.Quadrant(sole);
-        ++depth;
-        // This fresh leaf becomes internal next turn.
-        live_hist_.Remove(depth, 0);
-        continue;
-      }
-      // The points scatter (or the children sit at max_depth and absorb
-      // everything): place them and settle the census.
-      for (size_t i = 0; i < split_points_.size(); ++i) {
-        arena_.Get(ch[split_codes_[i]]).points.push_back(split_points_[i]);
-      }
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] != 0) {
-          live_hist_.Remove(depth + 1, 0);
-          live_hist_.Add(depth + 1, counts[q]);
-        }
-      }
-      break;
-    }
-    ++size_;
-    return Status::OK();
+    this->ReserveScratch();
   }
 
   /// Bulk insert (the batch hot path). For D = 2 the batch is encoded
@@ -236,7 +134,7 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
     if constexpr (D == 2) {
       InsertBatchSorted(batch, &stats);
     } else {
-      for (const PointT& p : batch) AbsorbSingle(Insert(p), &stats);
+      for (const PointT& p : batch) AbsorbSingle(this->Insert(p), &stats);
     }
     return stats;
   }
@@ -245,73 +143,30 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
   /// NodeArena::GrowthCount) — zero across a well-reserved InsertBatch.
   size_t ArenaGrowthCount() const { return arena_.GrowthCount(); }
 
-  /// Removes `p`. Returns NotFound if it is not stored. After a removal,
-  /// any chain of internal nodes whose total occupancy fits in one leaf is
-  /// collapsed, so the tree is always the minimal decomposition for its
-  /// contents (insertion order independence — a defining PR property).
-  [[nodiscard]] Status Erase(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::NotFound("point outside the tree bounds");
-    }
-    // Iterative descent recording the path for the collapse walk-back.
-    erase_path_.clear();
-    NodeIndex idx = root_;
-    BoxT box = bounds_;
-    erase_path_.push_back(idx);
-    while (!arena_.Get(idx).is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      idx = arena_.Get(idx).children[q];
-      box = box.Quadrant(q);
-      erase_path_.push_back(idx);
-    }
-    Node& leaf = arena_.Get(idx);
-    const size_t n = leaf.points.size();
-    size_t found = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (leaf.points.Matches(i, p)) {
-        found = i;
-        break;
-      }
-    }
-    if (found == n) return Status::NotFound("point not stored");
-    leaf.points.SwapRemoveAt(found);
-    const size_t depth = erase_path_.size() - 1;
-    live_hist_.Remove(depth, n);
-    live_hist_.Add(depth, n - 1);
-    --size_;
-    // Collapse deepest-first along the recorded path. Once a level fails
-    // to collapse it stays internal, so no shallower ancestor can have
-    // all-leaf children either — stop there.
-    for (size_t level = depth; level-- > 0;) {
-      if (!TryCollapse(erase_path_[level], level)) break;
-    }
-    return Status::OK();
-  }
-
-  /// Snapshot of the live occupancy-by-depth histogram — the same census
-  /// TakeCensus(tree) walks the tree for, but assembled in O(depths x
-  /// occupancies) independent of the number of points. The histogram is
-  /// maintained incrementally at every insert/erase/split/collapse, so
-  /// per-step censuses cost O(1) bookkeeping per operation instead of an
-  /// O(N) walk per snapshot.
-  Census LiveCensus() const { return live_hist_.ToCensus(); }
-
   /// Removes all points, leaving one empty root leaf.
   void Clear() {
     arena_.Clear();
     root_ = arena_.Allocate();
-    size_ = 0;
-    leaf_count_ = 1;
-    live_hist_ = LiveHistogram();
-    live_hist_.Add(0, 0);
+    this->ResetCounters();
   }
 
  private:
-  friend class PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>;
   using Node = PrNode<D, NodeIndex>;
+  using Writer = PrTreeWriter<PrTree<D>, Node>;
+  friend class PrTreeReader<PrTree<D>, Node>;
+  friend Writer;
+  using Writer::live_hist_;
+  using Writer::size_;
+
+  // ---- Node lifecycle (see PrTreeWriter): arena slots, in place -----
 
   NodeIndex Root() const { return root_; }
   const Node& NodeAt(NodeIndex idx) const { return arena_.Get(idx); }
+  Node& MutableNodeAt(NodeIndex idx) { return arena_.Get(idx); }
+  NodeIndex NewNode() { return arena_.Allocate(); }
+  void FreeNode(NodeIndex idx, bool /*on_path*/) { arena_.Free(idx); }
+  void CopyPath(std::span<NodeIndex> /*path*/) {}
+  void Publish(NodeIndex /*root*/) {}
 
   // ---- Bulk insert (see InsertBatch) -------------------------------
 
@@ -566,7 +421,7 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
     // Deep identical-code clusters (a measure-zero event for real-valued
     // data) finish on the scalar path.
     for (const PointT& p : fallback) {
-      const Status s = Insert(p);
+      const Status s = this->Insert(p);
       if (!s.ok()) ++stats->duplicates;
     }
     stats->inserted += size_ - size_before;
@@ -594,16 +449,7 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
       for (size_t j = b; j < e; ++j) fallback->push_back(recs[j].pt);
       return 0;
     }
-    std::array<NodeIndex, kFanout> ch;
-    for (size_t q = 0; q < kFanout; ++q) ch[q] = arena_.Allocate();
-    {
-      // Re-fetch: the allocations above may have moved the slab.
-      Node& node = arena_.Get(idx);
-      node.is_leaf = false;
-      node.points.clear();
-      node.children = ch;
-    }
-    leaf_count_ += kFanout - 1;
+    const std::array<NodeIndex, kFanout> ch = this->SplitNode(idx);
     const int shift =
         2 * (static_cast<int>(MortonCode::kMaxDepth) - 1 -
              static_cast<int>(depth));
@@ -622,49 +468,10 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>> {
     return placed;
   }
 
-  /// If all children of internal node `idx` (at `depth`) are leaves and
-  /// their total occupancy fits in one leaf, merge them back into `idx`.
-  /// Returns true iff the node collapsed.
-  bool TryCollapse(NodeIndex idx, size_t depth) {
-    Node& node = arena_.Get(idx);
-    POPAN_DCHECK(!node.is_leaf);
-    size_t total = 0;
-    for (size_t q = 0; q < kFanout; ++q) {
-      const Node& child = arena_.Get(node.children[q]);
-      if (!child.is_leaf) return false;
-      total += child.points.size();
-    }
-    if (total > options_.capacity) return false;
-    std::array<NodeIndex, kFanout> ch = node.children;
-    node.is_leaf = true;
-    node.points.clear();
-    for (size_t q = 0; q < kFanout; ++q) node.children[q] = kNullNode;
-    for (size_t q = 0; q < kFanout; ++q) {
-      // Freeing a slot never moves the slab, so `node` stays valid.
-      Node& child = arena_.Get(ch[q]);
-      live_hist_.Remove(depth + 1, child.points.size());
-      for (size_t i = 0, n = child.points.size(); i < n; ++i) {
-        node.points.push_back(child.points.Get(i));
-      }
-      arena_.Free(ch[q]);
-    }
-    live_hist_.Add(depth, total);
-    leaf_count_ -= kFanout - 1;
-    return true;
-  }
-
   BoxT bounds_;
   PrTreeOptions options_;
   NodeArena<Node> arena_;
   NodeIndex root_ = kNullNode;
-  size_t size_ = 0;
-  size_t leaf_count_ = 1;
-  LiveHistogram live_hist_;
-  // Reusable scratch buffers so the insert/erase hot paths are
-  // allocation-free after warm-up.
-  std::vector<PointT> split_points_;
-  std::vector<uint8_t> split_codes_;
-  std::vector<NodeIndex> erase_path_;
 };
 
 // The node holds 2^D 32-bit arena indices next to the SoA leaf lanes;

@@ -1,10 +1,12 @@
 #ifndef POPAN_SPATIAL_SNAPSHOT_VIEW_H_
 #define POPAN_SPATIAL_SNAPSHOT_VIEW_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "spatial/epoch.h"
 #include "spatial/pr_tree.h"
 #include "spatial/pr_tree_reader.h"
+#include "spatial/pr_tree_writer.h"
 #include "util/check.h"
 #include "util/status.h"
 
@@ -34,31 +37,36 @@ static_assert(sizeof(void*) != 8 || sizeof(CowNode<2>) <= 200,
               "snapshot quadtree node grew past 200 bytes");
 
 /// A copy-on-write PR tree for single-writer / multi-reader workloads:
-/// the concurrent sibling of PrTree<D>, with the same splitting rule,
-/// collapse rule, census bookkeeping, and boundary semantics — verified
-/// bitwise against it by the snapshot-consistency tests.
+/// the concurrent sibling of PrTree<D>. Both run the same writer
+/// (PrTreeWriter: descent, split cascade, collapse, census bookkeeping);
+/// they differ only in the node lifecycle.
 ///
-/// Where PrTree mutates nodes in place (safe only with writers stopped),
-/// CowPrTree never modifies a published node: every Insert/Erase builds
-/// fresh copies of the root-to-leaf path (plus the split or collapse
-/// subtree), then publishes the new root inside a new immutable Version
-/// with one atomic store. Readers pin an epoch and load the version head
-/// (SnapshotView); from then on they traverse a frozen tree that no
-/// writer will ever touch, so queries never block and never see a torn
-/// state. Replaced nodes and versions retire into the epoch limbo list
-/// and are freed only once no pinned reader can reach them (epoch.h has
-/// the full memory-ordering argument).
+/// PrTree mutates its nodes in place (safe only with writers stopped).
+/// CowPrTree never writes a published node: once an Insert/Erase is known
+/// to succeed it copies the recorded root-to-leaf path, and the shared
+/// writer then mutates only those copies and the nodes it allocates. A
+/// collapse deletes the copies it drops and retires the shared siblings.
+/// The new root is published inside a new immutable Version with one
+/// atomic store; a failed operation copies and publishes nothing.
+/// Readers pin an epoch and load the version head (SnapshotView); from
+/// then on they traverse a frozen tree that no writer will ever touch, so
+/// queries never block and never see a torn state. Replaced nodes and
+/// versions retire into the epoch limbo list and are freed only once no
+/// pinned reader can reach them (epoch.h has the full memory-ordering
+/// argument).
 ///
 /// Each Version carries the occupancy-by-depth histogram at its sequence
 /// number, so SnapshotView::LiveCensus() is O(depths x occupancies) and
 /// bitwise identical to a stop-the-world census of the same prefix of
 /// operations — the storm tests' core assertion.
 ///
-/// Threading contract: Insert/Erase/CheckInvariants/destructor on the
-/// single writer thread; Snapshot() and everything on SnapshotView from
-/// any thread. The tree must outlive every SnapshotView taken from it.
+/// Threading contract: Insert/Erase, the writer-side accessors (size,
+/// LeafCount, LiveCensus, sequence), CheckInvariants and the destructor
+/// on the single writer thread; Snapshot() and everything on SnapshotView
+/// from any thread. The tree must outlive every SnapshotView taken from
+/// it.
 template <size_t D>
-class CowPrTree {
+class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
  public:
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
@@ -76,13 +84,10 @@ class CowPrTree {
                      size_t epoch_readers = EpochManager::kMaxReaders)
       : bounds_(bounds), options_(options), epochs_(epoch_readers) {
     POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
-    hist_.Add(0, 0);
     Version* v = new Version;
     v->root = new Node;
     v->sequence = initial_sequence;
-    v->size = 0;
-    v->leaf_count = 1;
-    v->hist = hist_;
+    v->hist = this->live_hist_;
     head_.store(v, std::memory_order_seq_cst);
   }
 
@@ -100,21 +105,11 @@ class CowPrTree {
   size_t capacity() const { return options_.capacity; }
   size_t max_depth() const { return options_.max_depth; }
 
-  /// Writer-side view of the newest version.
+  /// Sequence number of the newest version: successful Insert/Erase
+  /// calls since `initial_sequence`.
   uint64_t sequence() const {
     return head_.load(std::memory_order_relaxed)->sequence;
   }
-  size_t size() const { return head_.load(std::memory_order_relaxed)->size; }
-  bool empty() const { return size() == 0; }
-  size_t LeafCount() const {
-    return head_.load(std::memory_order_relaxed)->leaf_count;
-  }
-
-  /// Writer-side census of the newest version — the same histogram fold
-  /// SnapshotView::LiveCensus performs, without pinning a reader slot.
-  /// O(depths x occupancies); this is what lets the shard balancer poll
-  /// every shard's census per rebalance check without touching points.
-  Census LiveCensus() const { return hist_.ToCensus(); }
 
   /// The reclamation machinery, exposed for storm harnesses and benches
   /// (counters from any thread; Retire/Advance/Reclaim writer-only).
@@ -132,138 +127,6 @@ class CowPrTree {
   /// connection handlers must use, shedding the request on error.
   [[nodiscard]] StatusOr<SnapshotView<D>> TrySnapshot() const;
 
-  /// Inserts `p`, publishing a new version (sequence + 1) on success.
-  /// OutOfRange outside the root block, AlreadyExists for a duplicate;
-  /// failed inserts publish nothing.
-  [[nodiscard]] Status Insert(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::OutOfRange("point outside the tree bounds");
-    }
-    const Version* cur = head_.load(std::memory_order_relaxed);
-    path_.clear();
-    const Node* leaf = cur->root;
-    BoxT box = bounds_;
-    size_t depth = 0;
-    while (!leaf->is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      path_.push_back(PathEntry{leaf, q});
-      leaf = leaf->children[q];
-      box = box.Quadrant(q);
-      ++depth;
-    }
-    const size_t n = leaf->points.size();
-    for (size_t i = 0; i < n; ++i) {
-      if (leaf->points.Matches(i, p)) {
-        return Status::AlreadyExists("duplicate point");
-      }
-    }
-    to_retire_.clear();
-    to_retire_.push_back(leaf);
-    Node* replacement;
-    if (n < options_.capacity || depth >= options_.max_depth) {
-      replacement = new Node(*leaf);
-      replacement->points.push_back(p);
-      hist_.Remove(depth, n);
-      hist_.Add(depth, n + 1);
-    } else {
-      // The splitting rule fires: stash the m+1 points and grow a fresh
-      // subtree in their place (same cascade arithmetic as PrTree).
-      split_points_.clear();
-      for (size_t i = 0; i < n; ++i) {
-        split_points_.push_back(leaf->points.Get(i));
-      }
-      split_points_.push_back(p);
-      hist_.Remove(depth, n);
-      replacement = BuildSplitSubtree(box, depth);
-    }
-    ++size_;
-    Publish(RebuildPath(replacement));
-    return Status::OK();
-  }
-
-  /// Removes `p`, publishing a new version (sequence + 1) on success.
-  /// NotFound when it is not stored; failed erases publish nothing.
-  /// Collapses merged leaves exactly like PrTree::Erase, so the published
-  /// tree is always the canonical minimal decomposition.
-  [[nodiscard]] Status Erase(const PointT& p) {
-    if (!bounds_.Contains(p)) {
-      return Status::NotFound("point outside the tree bounds");
-    }
-    const Version* cur = head_.load(std::memory_order_relaxed);
-    path_.clear();
-    const Node* leaf = cur->root;
-    BoxT box = bounds_;
-    while (!leaf->is_leaf) {
-      size_t q = box.QuadrantOf(p);
-      path_.push_back(PathEntry{leaf, q});
-      leaf = leaf->children[q];
-      box = box.Quadrant(q);
-    }
-    const size_t n = leaf->points.size();
-    size_t found = n;
-    for (size_t i = 0; i < n; ++i) {
-      if (leaf->points.Matches(i, p)) {
-        found = i;
-        break;
-      }
-    }
-    if (found == n) return Status::NotFound("point not stored");
-    const size_t depth = path_.size();
-    to_retire_.clear();
-    to_retire_.push_back(leaf);
-    Node* child = new Node(*leaf);
-    child->points.SwapRemoveAt(found);
-    hist_.Remove(depth, n);
-    hist_.Add(depth, n - 1);
-    --size_;
-    // Walk back up, merging any chain of all-leaf siblings that fits in
-    // one leaf (deepest first; once a level fails, no shallower level can
-    // collapse either), then path-copying the rest.
-    Node* root = child;
-    bool collapsing = true;
-    for (size_t level = path_.size(); level-- > 0;) {
-      const Node* parent = path_[level].node;
-      const size_t q = path_[level].quadrant;
-      if (collapsing && root->is_leaf) {
-        size_t total = root->points.size();
-        bool all_leaves = true;
-        for (size_t qq = 0; qq < kFanout && all_leaves; ++qq) {
-          if (qq == q) continue;
-          const Node* sibling = parent->children[qq];
-          if (!sibling->is_leaf) {
-            all_leaves = false;
-          } else {
-            total += sibling->points.size();
-          }
-        }
-        if (all_leaves && total <= options_.capacity) {
-          Node* merged = new Node;
-          for (size_t qq = 0; qq < kFanout; ++qq) {
-            const Node* source = qq == q ? root : parent->children[qq];
-            for (size_t i = 0, m = source->points.size(); i < m; ++i) {
-              merged->points.push_back(source->points.Get(i));
-            }
-            hist_.Remove(level + 1, source->points.size());
-            if (qq != q) to_retire_.push_back(parent->children[qq]);
-          }
-          hist_.Add(level, total);
-          leaf_count_ -= kFanout - 1;
-          to_retire_.push_back(parent);
-          delete root;  // fresh this operation, never published
-          root = merged;
-          continue;
-        }
-        collapsing = false;
-      }
-      Node* copy = new Node(*parent);
-      copy->children[q] = root;
-      to_retire_.push_back(parent);
-      root = copy;
-    }
-    Publish(root);
-    return Status::OK();
-  }
-
   /// Verifies the newest version against a fresh walk: structural PR
   /// invariants, cached size/leaf counts, and the per-version census
   /// histogram (SnapshotView::CheckInvariants on the head). Writer thread
@@ -273,6 +136,8 @@ class CowPrTree {
  private:
   friend class SnapshotView<D>;
   using Node = CowNode<D>;
+  using Writer = PrTreeWriter<CowPrTree<D>, Node>;
+  friend Writer;
 
   /// One published state of the tree: the version header readers pin.
   /// Immutable after the head store that publishes it.
@@ -281,101 +146,68 @@ class CowPrTree {
     uint64_t sequence = 0;
     size_t size = 0;
     size_t leaf_count = 1;
-    /// The live census PrTree maintains, frozen per version.
+    /// The writer's live census, frozen per version.
     LiveHistogram hist;
   };
 
-  struct PathEntry {
-    const Node* node;
-    size_t quadrant;
-  };
+  // ---- Node lifecycle (see PrTreeWriter): path copies, epoch retire --
 
-  /// Grows the replacement subtree for a split at (`box`, `depth`) from
-  /// the m+1 points in split_points_. Same cascade loop and histogram
-  /// arithmetic as PrTree::Insert; all nodes are fresh.
-  Node* BuildSplitSubtree(BoxT box, size_t depth) {
-    Node* top = nullptr;
-    Node* pending_parent = nullptr;
-    size_t pending_quadrant = 0;
-    for (;;) {
-      split_codes_.clear();
-      std::array<size_t, kFanout> counts{};
-      for (const PointT& pt : split_points_) {
-        size_t q = box.QuadrantOf(pt);
-        split_codes_.push_back(static_cast<uint8_t>(q));
-        ++counts[q];
-      }
-      size_t sole = kFanout;
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] == split_points_.size()) sole = q;
-      }
-      Node* internal = new Node;
-      internal->is_leaf = false;
-      if (pending_parent == nullptr) {
-        top = internal;
-      } else {
-        pending_parent->children[pending_quadrant] = internal;
-      }
-      leaf_count_ += kFanout - 1;
-      for (size_t q = 0; q < kFanout; ++q) hist_.Add(depth + 1, 0);
-      if (sole != kFanout && depth + 1 < options_.max_depth) {
-        for (size_t q = 0; q < kFanout; ++q) {
-          if (q != sole) internal->children[q] = new Node;
-        }
-        hist_.Remove(depth + 1, 0);  // the sole child becomes internal
-        pending_parent = internal;
-        pending_quadrant = sole;
-        box = box.Quadrant(sole);
-        ++depth;
-        continue;
-      }
-      std::array<Node*, kFanout> ch;
-      for (size_t q = 0; q < kFanout; ++q) {
-        ch[q] = new Node;
-        internal->children[q] = ch[q];
-      }
-      for (size_t i = 0; i < split_points_.size(); ++i) {
-        ch[split_codes_[i]]->points.push_back(split_points_[i]);
-      }
-      for (size_t q = 0; q < kFanout; ++q) {
-        if (counts[q] != 0) {
-          hist_.Remove(depth + 1, 0);
-          hist_.Add(depth + 1, counts[q]);
-        }
-      }
-      return top;
+  const Node* Root() const {
+    return head_.load(std::memory_order_relaxed)->root;
+  }
+  static const Node& NodeAt(const Node* node) { return *node; }
+  /// The writer only asks for this operation's path copies and the nodes
+  /// NewNode made, which no published version reaches.
+  static Node& MutableNodeAt(const Node* node) {
+    return const_cast<Node&>(*node);
+  }
+  static const Node* NewNode() { return new Node; }
+  void FreeNode(const Node* node, bool on_path) {
+    if (on_path) {
+      delete node;  // this operation's copy, never published
+    } else {
+      epochs_.RetireObject(node);
     }
   }
 
-  /// Path-copies the recorded ancestors around `replacement` (the new
-  /// subtree at the descent leaf), retiring the replaced originals.
-  Node* RebuildPath(Node* replacement) {
-    Node* child = replacement;
-    for (size_t level = path_.size(); level-- > 0;) {
-      Node* copy = new Node(*path_[level].node);
-      copy->children[path_[level].quadrant] = child;
-      to_retire_.push_back(path_[level].node);
+  /// Replaces every node of the descent path with a copy, linked into its
+  /// parent's copy in place of the original, and retires the originals.
+  /// Leaf first: copying top-down instead slowed the 2^20-insert preload
+  /// of perfbench's range_scan by ~10% (4-core x86 VM, gcc 12), through
+  /// the allocator's reuse order of the retired path.
+  /// Retiring ahead of the head store is safe: nothing tagged with the
+  /// current epoch is reclaimed until Publish has stored the new head and
+  /// advanced the epoch.
+  void CopyPath(std::span<const Node*> path) {
+    Node* child = nullptr;
+    const Node* original = nullptr;
+    for (size_t i = path.size(); i-- > 0;) {
+      Node* copy = new Node(*path[i]);
+      epochs_.RetireObject(path[i]);
+      if (child != nullptr) {
+        *std::find(copy->children.begin(), copy->children.end(), original) =
+            child;
+      }
+      original = path[i];
+      path[i] = copy;
       child = copy;
     }
-    return child;
   }
 
-  /// Publishes `new_root` as the next version and retires everything the
-  /// operation unlinked. One epoch advance + reclaim attempt per publish
-  /// keeps the limbo list short and the reclamation counters a pure
-  /// function of the operation trace when no readers are pinned.
-  void Publish(Node* new_root) {
+  /// Publishes `new_root` as the next version and retires the old one.
+  /// One epoch advance + reclaim attempt per publish keeps the limbo list
+  /// short and the reclamation counters a pure function of the operation
+  /// trace when no readers are pinned.
+  void Publish(const Node* new_root) {
     const Version* old = head_.load(std::memory_order_relaxed);
     Version* v = new Version;
     v->root = new_root;
     v->sequence = old->sequence + 1;
-    v->size = size_;
-    v->leaf_count = leaf_count_;
-    v->hist = hist_;
+    v->size = this->size_;
+    v->leaf_count = this->leaf_count_;
+    v->hist = this->live_hist_;
     head_.store(v, std::memory_order_seq_cst);
     epochs_.RetireObject(old);
-    for (const Node* node : to_retire_) epochs_.RetireObject(node);
-    to_retire_.clear();
     epochs_.AdvanceEpoch();
     epochs_.Reclaim();
   }
@@ -399,15 +231,6 @@ class CowPrTree {
   PrTreeOptions options_;
   mutable EpochManager epochs_;
   std::atomic<const Version*> head_{nullptr};
-  // Writer-side working state, mirrored into each published Version.
-  size_t size_ = 0;
-  size_t leaf_count_ = 1;
-  LiveHistogram hist_;
-  // Reusable writer scratch.
-  std::vector<PathEntry> path_;
-  std::vector<const Node*> to_retire_;
-  std::vector<PointT> split_points_;
-  std::vector<uint8_t> split_codes_;
 };
 
 /// A pinned, frozen view of one CowPrTree version: the reader-side handle.

@@ -85,7 +85,10 @@ TEST(DiffIntegerFieldsTest, EqualAndDriftedFields) {
 class GateAgainstReferenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/bench_gate";
+    // One directory per case: ctest runs the cases as parallel processes,
+    // so a shared file would let one case read a sibling's reference.
+    dir_ = ::testing::TempDir() + "/bench_gate_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::remove((dir_ + "/BENCH_gate_demo.json").c_str());
   }
 

@@ -3,8 +3,13 @@
 // to the census obtained by walking the structure — across dimensions,
 // capacities, truncation, full teardown (post-collapse), and for the
 // extendible hash through splits, buddy merges, and directory shrink.
+// The tree storms drive the in-place PrTree and the copy-on-write
+// CowPrTree through the same operations: the two share one writer, so
+// their censuses, leaf shapes and within-leaf point orders must agree.
 
+#include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "geometry/box.h"
@@ -13,7 +18,9 @@
 #include "spatial/census.h"
 #include "spatial/extendible_hash.h"
 #include "spatial/pr_tree.h"
+#include "spatial/snapshot_view.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace popan::spatial {
 namespace {
@@ -25,14 +32,58 @@ geo::Point<D> RandomPoint(Pcg32& rng) {
   return p;
 }
 
-/// Runs a random insert/erase interleaving on a PrTree<D> and checks the
-/// live census against the walked census throughout and after teardown.
+/// (depth, occupancy) of every leaf, in preorder.
+template <typename Tree>
+std::vector<std::pair<size_t, size_t>> LeafShape(const Tree& tree) {
+  std::vector<std::pair<size_t, size_t>> shape;
+  tree.VisitLeaves([&shape](const auto& /*box*/, size_t depth,
+                            size_t occupancy) {
+    shape.emplace_back(depth, occupancy);
+  });
+  return shape;
+}
+
+/// The snapshot tree's newest version must be the in-place tree: same
+/// live census, leaf shape, and points in the same within-leaf order.
+template <size_t D>
+void ExpectSameTree(const PrTree<D>& tree, const CowPrTree<D>& cow) {
+  SnapshotView<D> view = cow.Snapshot();
+  EXPECT_EQ(tree.LiveCensus(), cow.LiveCensus());
+  EXPECT_EQ(tree.LiveCensus(), view.LiveCensus());
+  EXPECT_EQ(LeafShape(tree), LeafShape(view));
+  EXPECT_EQ(tree.AllPoints(), view.AllPoints());
+}
+
+/// A duplicate insert and an absent erase fail on both trees, and the
+/// snapshot tree neither publishes nor retires anything for them: its
+/// path copy happens only once an operation is known to succeed.
+template <size_t D>
+void ExpectFailedWritesAreInert(PrTree<D>& tree, CowPrTree<D>& cow,
+                                const geo::Point<D>& stored,
+                                const geo::Point<D>& absent) {
+  const uint64_t sequence = cow.sequence();
+  const uint64_t retired = cow.epochs().objects_retired();
+  const uint64_t advanced = cow.epochs().epochs_advanced();
+  EXPECT_EQ(tree.Insert(stored).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(cow.Insert(stored).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(tree.Erase(absent).code(), StatusCode::kNotFound);
+  EXPECT_EQ(cow.Erase(absent).code(), StatusCode::kNotFound);
+  EXPECT_EQ(cow.sequence(), sequence);
+  EXPECT_EQ(cow.epochs().objects_retired(), retired);
+  EXPECT_EQ(cow.epochs().epochs_advanced(), advanced);
+}
+
+/// Runs a random insert/erase interleaving on a PrTree<D> and a
+/// CowPrTree<D> side by side and checks the live census against the
+/// walked census, and the two trees against each other, throughout and
+/// after teardown.
 template <size_t D>
 void RunTreeStorm(size_t capacity, size_t max_depth, uint64_t seed) {
   PrTreeOptions options;
   options.capacity = capacity;
   options.max_depth = max_depth;
   PrTree<D> tree(geo::Box<D>::UnitCube(), options);
+  CowPrTree<D> cow(geo::Box<D>::UnitCube(), options);
   Pcg32 rng(seed);
   std::vector<geo::Point<D>> live;
 
@@ -40,34 +91,53 @@ void RunTreeStorm(size_t capacity, size_t max_depth, uint64_t seed) {
     // 60% inserts, 40% erases of a tracked live point.
     if (live.empty() || rng.NextBounded(10) < 6) {
       geo::Point<D> p = RandomPoint<D>(rng);
-      if (tree.Insert(p).ok()) live.push_back(p);
+      const Status inserted = tree.Insert(p);
+      ASSERT_EQ(cow.Insert(p).code(), inserted.code());
+      if (inserted.ok()) live.push_back(p);
     } else {
       size_t victim = rng.NextBounded(static_cast<uint32_t>(live.size()));
       ASSERT_TRUE(tree.Erase(live[victim]).ok());
+      ASSERT_TRUE(cow.Erase(live[victim]).ok());
       live[victim] = live.back();
       live.pop_back();
     }
     if (op % 16 == 0) {
       ASSERT_EQ(tree.LiveCensus(), TakeCensus(tree))
           << "D=" << D << " m=" << capacity << " op=" << op;
+      ASSERT_NO_FATAL_FAILURE(ExpectSameTree(tree, cow))
+          << "D=" << D << " m=" << capacity << " op=" << op;
+      if (!live.empty()) {
+        const geo::Point<D>& stored = live[op % live.size()];
+        geo::Point<D> absent = stored;
+        absent[0] = std::nextafter(absent[0], 1.0);
+        ASSERT_NO_FATAL_FAILURE(
+            ExpectFailedWritesAreInert(tree, cow, stored, absent))
+            << "D=" << D << " m=" << capacity << " op=" << op;
+      }
     }
   }
   EXPECT_EQ(tree.LiveCensus(), TakeCensus(tree));
   EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(cow.CheckInvariants().ok());
 
   // Tear everything down: collapses all the way back to a lone empty
   // root leaf, which the live histogram must reflect exactly.
   while (!live.empty()) {
     ASSERT_TRUE(tree.Erase(live.back()).ok());
+    ASSERT_TRUE(cow.Erase(live.back()).ok());
     live.pop_back();
   }
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.LeafCount(), 1u);
+  EXPECT_EQ(cow.size(), 0u);
+  EXPECT_EQ(cow.LeafCount(), 1u);
   Census empty_census = tree.LiveCensus();
   EXPECT_EQ(empty_census, TakeCensus(tree));
   EXPECT_EQ(empty_census.LeafCount(), 1u);
   EXPECT_EQ(empty_census.CountAt(0, 0), 1u);
   EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(cow.CheckInvariants().ok());
+  ExpectSameTree(tree, cow);
 }
 
 TEST(LiveCensusTest, MatchesWalkedCensusAcrossDimensionsAndCapacities) {
