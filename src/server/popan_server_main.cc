@@ -15,12 +15,25 @@
 //                [--wal PATH]
 //                [--shards N] [--shard-dir DIR]
 //                [--split-cost X] [--merge-cost X]
+//
+// Every numeric flag must parse whole and lie in range (port 0-65535,
+// side finite and > 0, capacity >= 1, max depth 0-64, costs finite and
+// >= 0, merge cost below split cost); anything else exits 2. SIGTERM or
+// SIGINT stops the server cleanly: queued replies are sent, the core and
+// its read threads are torn down, the WAL stream is flushed, and the
+// process exits 0.
 
+#include <atomic>
+#include <cerrno>
+#include <charconv>
+#include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <thread>
 #include <utility>
 
 #include "server/boot.h"
@@ -45,33 +58,58 @@ struct Flags {
   double merge_cost = 0.0;
 };
 
+/// Parses all of `text` as a T in [lo, hi]. Trailing bytes, a sign an
+/// unsigned T cannot hold, overflow, NaN and out-of-range values fail.
+template <typename T>
+bool ParseNumber(std::string_view text, T lo, T hi, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  constexpr double kMaxDouble = std::numeric_limits<double>::max();
+  constexpr size_t kMaxSize = std::numeric_limits<size_t>::max();
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    const char* value = nullptr;
-    if (arg == "--port" && (value = next()) != nullptr) {
-      flags->port = static_cast<uint16_t>(std::atoi(value));
-    } else if (arg == "--side" && (value = next()) != nullptr) {
-      flags->side = std::atof(value);
-    } else if (arg == "--capacity" && (value = next()) != nullptr) {
-      flags->capacity = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--max-depth" && (value = next()) != nullptr) {
-      flags->max_depth = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--wal" && (value = next()) != nullptr) {
+    if (i + 1 >= argc) {
+      std::cerr << "unknown or incomplete flag: " << arg << "\n";
+      return false;
+    }
+    std::string_view value = argv[++i];
+    bool parsed = true;
+    if (arg == "--port") {
+      uint32_t port = 0;
+      parsed = ParseNumber<uint32_t>(value, 0, 65535, &port);
+      flags->port = static_cast<uint16_t>(port);
+    } else if (arg == "--side") {
+      parsed = ParseNumber(value, std::numeric_limits<double>::denorm_min(),
+                           kMaxDouble, &flags->side);
+    } else if (arg == "--capacity") {
+      parsed = ParseNumber<size_t>(value, 1, kMaxSize, &flags->capacity);
+    } else if (arg == "--max-depth") {
+      parsed = ParseNumber<size_t>(value, 0, 64, &flags->max_depth);
+    } else if (arg == "--wal") {
       flags->wal_path = value;
-    } else if (arg == "--shards" && (value = next()) != nullptr) {
-      flags->shards = static_cast<size_t>(std::atoll(value));
-    } else if (arg == "--shard-dir" && (value = next()) != nullptr) {
+    } else if (arg == "--shards") {
+      parsed = ParseNumber<size_t>(value, 0, kMaxSize, &flags->shards);
+    } else if (arg == "--shard-dir") {
       flags->shard_dir = value;
-    } else if (arg == "--split-cost" && (value = next()) != nullptr) {
-      flags->split_cost = std::atof(value);
-    } else if (arg == "--merge-cost" && (value = next()) != nullptr) {
-      flags->merge_cost = std::atof(value);
+    } else if (arg == "--split-cost") {
+      parsed = ParseNumber(value, 0.0, kMaxDouble, &flags->split_cost);
+    } else if (arg == "--merge-cost") {
+      parsed = ParseNumber(value, 0.0, kMaxDouble, &flags->merge_cost);
     } else {
       std::cerr << "unknown or incomplete flag: " << arg << "\n";
+      return false;
+    }
+    if (!parsed) {
+      std::cerr << "invalid value for " << arg << ": '" << value << "'\n";
       return false;
     }
   }
@@ -81,7 +119,21 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
                  "per shard under --shard-dir\n";
     return false;
   }
-  return flags->side > 0.0 && flags->capacity > 0;
+  return true;
+}
+
+/// The transport a stop signal stops; set once it is listening. A
+/// signal handler may only touch lock-free atomics.
+std::atomic<popan::server::SocketServer*> g_transport{nullptr};
+static_assert(
+    std::atomic<popan::server::SocketServer*>::is_always_lock_free);
+
+void OnStopSignal(int) {
+  int saved_errno = errno;  // RequestStop's pipe write may clobber it
+  popan::server::SocketServer* transport =
+      g_transport.load(std::memory_order_acquire);
+  if (transport != nullptr) transport->RequestStop();
+  errno = saved_errno;
 }
 
 }  // namespace
@@ -102,10 +154,14 @@ int main(int argc, char** argv) {
   options.capacity = flags.capacity;
   options.max_depth = flags.max_depth;
 
+  // Pool workers that help the poll thread complete pipelined read runs.
+  unsigned cpus = std::thread::hardware_concurrency();
+  size_t read_threads = cpus > 1 ? cpus - 1 : 1;
+
   // Boot state kept alive for the server's whole life (the WAL writer
-  // holds a pointer into its stream).
-  std::unique_ptr<server::ServerCore> core;
+  // holds a pointer into its stream), so it is declared before the core.
   server::BootResult boot;
+  std::unique_ptr<server::ServerCore> core;
 
   if (flags.shards > 0 || !flags.shard_dir.empty()) {
     shard::RouterOptions router_options;
@@ -119,6 +175,13 @@ int main(int argc, char** argv) {
     }
     if (flags.merge_cost > 0.0) {
       router_options.rebalance.merge_cost = flags.merge_cost;
+    }
+    if (router_options.rebalance.merge_cost >=
+        router_options.rebalance.split_cost) {
+      std::cerr << "merge cost " << router_options.rebalance.merge_cost
+                << " must be below split cost "
+                << router_options.rebalance.split_cost << "\n";
+      return 2;
     }
     std::unique_ptr<shard::ShardRouter> router;
     if (!flags.shard_dir.empty()) {
@@ -138,7 +201,8 @@ int main(int argc, char** argv) {
           std::make_unique<shard::ShardRouter>(bounds, router_options);
     }
     core = std::make_unique<server::ServerCore>(
-        std::make_unique<server::ShardStoreBackend>(std::move(router)));
+        std::make_unique<server::ShardStoreBackend>(std::move(router)),
+        read_threads);
   } else {
     if (!flags.wal_path.empty()) {
       StatusOr<server::BootResult> booted =
@@ -160,21 +224,43 @@ int main(int argc, char** argv) {
       }
     }
     core = std::make_unique<server::ServerCore>(
-        bounds, options, boot.wal.has_value() ? &*boot.wal : nullptr,
-        boot.initial_sequence, boot.seed_points);
+        std::make_unique<server::CowTreeBackend>(
+            bounds, options, boot.wal.has_value() ? &*boot.wal : nullptr,
+            boot.initial_sequence, boot.seed_points),
+        read_threads);
   }
 
-  server::SocketServer transport(core.get());
-  StatusOr<uint16_t> port = transport.Listen(flags.port);
-  if (!port.ok()) {
-    std::cerr << "listen failed: " << port.status().ToString() << "\n";
-    return 1;
+  Status served;
+  {
+    server::SocketServer transport(core.get());
+    StatusOr<uint16_t> port = transport.Listen(flags.port);
+    if (!port.ok()) {
+      std::cerr << "listen failed: " << port.status().ToString() << "\n";
+      return 1;
+    }
+    g_transport.store(&transport, std::memory_order_release);
+    struct sigaction stop = {};
+    stop.sa_handler = OnStopSignal;
+    sigemptyset(&stop.sa_mask);
+    sigaction(SIGTERM, &stop, nullptr);
+    sigaction(SIGINT, &stop, nullptr);
+    std::cout << "popan_server listening on 127.0.0.1:" << port.value()
+              << std::endl;
+    served = transport.Serve();
+    // Back to the default action before the transport goes away: a
+    // second signal now ends the process instead of touching it.
+    stop.sa_handler = SIG_DFL;
+    sigaction(SIGTERM, &stop, nullptr);
+    sigaction(SIGINT, &stop, nullptr);
+    g_transport.store(nullptr, std::memory_order_release);
   }
-  std::cout << "popan_server listening on 127.0.0.1:" << port.value()
-            << std::endl;
-  Status served = transport.Serve();
   if (!served.ok()) {
     std::cerr << "serve failed: " << served.ToString() << "\n";
+    return 1;
+  }
+  core.reset();  // joins the read threads
+  if (boot.wal_stream != nullptr && !boot.wal_stream->flush()) {
+    std::cerr << "WAL flush failed\n";
     return 1;
   }
   return 0;

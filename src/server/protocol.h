@@ -58,6 +58,13 @@ inline constexpr uint8_t ResponseTypeFor(MsgType t) {
   return static_cast<uint8_t>(t) | 0x80u;
 }
 
+/// True for the requests answered from a pinned snapshot without
+/// changing server state: range, partial match, k-NN and census.
+inline constexpr bool IsReadKind(MsgType t) {
+  return t == MsgType::kRange || t == MsgType::kPartialMatch ||
+         t == MsgType::kNearestK || t == MsgType::kCensus;
+}
+
 /// A decoded request. Exactly the fields named by `type` are meaningful.
 struct Request {
   MsgType type = MsgType::kPing;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "server/cow_store.h"
+#include "sim/thread_pool.h"
 #include "util/check.h"
 
 namespace popan::server {
@@ -19,11 +20,6 @@ Response ErrorResponse(MsgType type, const Status& status) {
   return response;
 }
 
-bool IsReadKind(MsgType type) {
-  return type == MsgType::kRange || type == MsgType::kPartialMatch ||
-         type == MsgType::kNearestK || type == MsgType::kCensus;
-}
-
 bool FinitePoint(const geo::Point2& p) {
   // Box::Contains is comparison-based, so a NaN coordinate slips through
   // every bound check; reject it explicitly before it reaches the tree.
@@ -32,10 +28,15 @@ bool FinitePoint(const geo::Point2& p) {
 
 }  // namespace
 
-ServerCore::ServerCore(std::unique_ptr<StoreBackend> store)
-    : store_(std::move(store)), subs_(store_->bounds()) {
+ServerCore::ServerCore(std::unique_ptr<StoreBackend> store,
+                       size_t read_threads)
+    : store_(std::move(store)),
+      subs_(store_->bounds()),
+      read_threads_(read_threads) {
   POPAN_CHECK(store_ != nullptr);
 }
+
+ServerCore::~ServerCore() = default;
 
 ServerCore::ServerCore(const geo::Box2& bounds,
                        const spatial::PrTreeOptions& options,
@@ -79,8 +80,15 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
   // Drain every complete frame already buffered — this is what makes
   // pipelining work: a burst of N requests is answered with N responses
   // from one ConsumeBytes call, no transport round-trips in between.
+  // Read-kind requests are held back as a run; any other frame answers
+  // the run first, so responses stay in request order.
   while (NextFrame(it->second.inbox, &offset, &payload, &frame_error)) {
     StatusOr<Request> request = DecodeRequestPayload(payload);
+    if (request.ok() && IsReadKind(request.value().type)) {
+      read_run_.push_back(std::move(request).value());
+      continue;
+    }
+    FlushReadRun(client_id, &it->second.outbox);
     if (request.ok()) {
       HandleRequestLocked(client_id, request.value());
     } else {
@@ -92,8 +100,37 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
           EncodeResponseFrame(ErrorResponse(type, request.status()));
     }
   }
+  FlushReadRun(client_id, &it->second.outbox);
   it->second.inbox.erase(0, offset);
   return frame_error;
+}
+
+void ServerCore::FlushReadRun(uint64_t client_id, std::string* outbox) {
+  if (read_run_.size() >= 2 && read_threads_ > 0) {
+    // One pin serves the whole run: every frame of it was decoded by this
+    // ConsumeBytes call, so no write can have landed in between.
+    StatusOr<std::unique_ptr<const ReadView>> view = store_->PrepareRead();
+    if (view.ok()) {
+      if (read_pool_ == nullptr) {
+        read_pool_ = std::make_unique<sim::ThreadPool>(read_threads_);
+      }
+      const ReadView& pinned = *view.value();
+      const std::vector<Request>& run = read_run_;
+      std::vector<std::string> frames(run.size());
+      read_pool_->ParallelFor(run.size(), [&pinned, &run, &frames](size_t i) {
+        frames[i] = EncodeResponseFrame(pinned.Complete(run[i]));
+      });
+      for (const std::string& frame : frames) *outbox += frame;
+      read_run_.clear();
+      return;
+    }
+    // No reader slot free: the serial path answers each read with the
+    // shed-load error.
+  }
+  for (const Request& request : read_run_) {
+    HandleRequestLocked(client_id, request);
+  }
+  read_run_.clear();
 }
 
 void ServerCore::HandleRequest(uint64_t client_id, const Request& request) {

@@ -21,6 +21,10 @@
 #include "util/statusor.h"
 #include "util/thread_annotations.h"
 
+namespace popan::sim {
+class ThreadPool;
+}  // namespace popan::sim
+
 namespace popan::server {
 
 /// A read request paired with the epoch-pinned store view it executes
@@ -49,6 +53,17 @@ struct PreparedRead {
 /// clang -Wthread-safety a new code path that touches server state
 /// without declaring its affinity fails the build.
 ///
+/// Run-parallel reads: ConsumeBytes answers each run of two or more
+/// consecutive read-kind frames from ONE store pin, completing the reads
+/// on `read_threads` pool workers plus the command thread itself. One
+/// pin is exact because no write can land between two frames of one
+/// ConsumeBytes call (the command thread is busy decoding them). Each
+/// read encodes its response into its own slot and the slots are
+/// appended in request order after the join, so the bytes equal the
+/// serial path's at any thread count. The pin is released before
+/// ConsumeBytes returns. The pool is spawned on the first such run, so a
+/// core that only ever sees writes and single reads starts no thread.
+///
 /// Write path ordering: validate -> apply to the backend (structure,
 /// then its WAL in lockstep) -> match subscriptions -> enqueue
 /// notifications. Validation (finite, in-bounds) happens before apply so
@@ -57,7 +72,10 @@ struct PreparedRead {
 class ServerCore {
  public:
   /// Serves an externally constructed storage engine (see store.h).
-  explicit ServerCore(std::unique_ptr<StoreBackend> store);
+  /// `read_threads` pool workers help complete pipelined read runs (see
+  /// the class comment); 0 completes every read on the command thread.
+  explicit ServerCore(std::unique_ptr<StoreBackend> store,
+                      size_t read_threads = 0);
 
   /// Single-tree convenience form (the original API): constructs a
   /// CowTreeBackend internally. `wal` may be null (no durability); when
@@ -76,6 +94,9 @@ class ServerCore {
              uint64_t initial_sequence = 0,
              const std::vector<geo::Point2>& seed_points = {});
 
+  /// Joins the read threads, if any were started.
+  ~ServerCore();
+
   ServerCore(const ServerCore&) = delete;
   ServerCore& operator=(const ServerCore&) = delete;
 
@@ -87,7 +108,8 @@ class ServerCore {
 
   /// Feeds raw transport bytes from a client. Every complete frame in the
   /// stream is decoded and handled (pipelining: a burst of frames is
-  /// answered in order); a trailing partial frame is buffered. Returns an
+  /// answered in order, runs of reads in parallel — see the class
+  /// comment); a trailing partial frame is buffered. Returns an
   /// error only for unrecoverable stream corruption (oversized length
   /// prefix, unknown client) — the caller must drop the connection.
   /// Malformed request *payloads* stay recoverable: they produce an error
@@ -155,6 +177,12 @@ class ServerCore {
   // hops stay annotation-checked without re-acquiring the capability.
   void HandleRequestLocked(uint64_t client_id, const Request& request)
       REQUIRES(command_role_);
+  /// Answers the buffered read run (read_run_) in request order into
+  /// `outbox` and empties it. A single read, or any read on a core
+  /// without read threads, takes HandleRequestLocked's path; a longer run
+  /// shares one pin and completes on the read pool.
+  void FlushReadRun(uint64_t client_id, std::string* outbox)
+      REQUIRES(command_role_);
   [[nodiscard]] StatusOr<PreparedRead> PrepareReadLocked(
       const Request& request) REQUIRES(command_role_);
   void SubmitResponseLocked(uint64_t client_id, const Response& response)
@@ -181,6 +209,13 @@ class ServerCore {
   uint64_t next_client_id_ GUARDED_BY(command_role_) = 1;
   uint64_t notifications_sent_ GUARDED_BY(command_role_) = 0;
   std::vector<uint64_t> match_scratch_ GUARDED_BY(command_role_);
+  /// Consecutive read-kind requests decoded by ConsumeBytes, not yet
+  /// answered (see FlushReadRun).
+  std::vector<Request> read_run_ GUARDED_BY(command_role_);
+  const size_t read_threads_;
+  /// Created on the first read run of two or more requests. Declared
+  /// last so its workers are joined before anything else is destroyed.
+  std::unique_ptr<sim::ThreadPool> read_pool_ GUARDED_BY(command_role_);
 };
 
 }  // namespace popan::server

@@ -19,6 +19,11 @@ namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
 
+/// A stopping server keeps sending queued output while some peer takes
+/// bytes at least this often; a peer that takes nothing for this long is
+/// not reading and is abandoned.
+constexpr int kDrainPollMs = 1000;
+
 [[nodiscard]] Status ErrnoStatus(const char* what) {
   return Status::Internal(std::string(what) + ": " +
                           std::strerror(errno));
@@ -124,7 +129,27 @@ Status SocketServer::Serve() {
     }
     for (int fd : dead) CloseConnection(fd);
   }
+  DrainOutput();
   return Status::OK();
+}
+
+void SocketServer::DrainOutput() {
+  for (;;) {
+    std::vector<pollfd> fds;
+    std::vector<int> dead;
+    for (auto& [fd, conn] : connections_) {
+      conn.pending_out += core_->TakeOutput(conn.client_id);
+      if (!FlushTo(&conn)) {
+        dead.push_back(fd);
+      } else if (!conn.pending_out.empty()) {
+        fds.push_back(pollfd{fd, POLLOUT, 0});
+      }
+    }
+    for (int fd : dead) CloseConnection(fd);
+    if (fds.empty() || ::poll(fds.data(), fds.size(), kDrainPollMs) <= 0) {
+      return;
+    }
+  }
 }
 
 void SocketServer::RequestStop() {

@@ -16,17 +16,20 @@ namespace popan::server {
 
 /// TCP transport for ServerCore: a single-threaded poll() loop on
 /// loopback. One thread keeps the command path serial (the ServerCore
-/// contract); concurrency comes from snapshot reads inside the core, not
-/// from the transport. Connections map 1:1 to ServerCore clients; a
-/// framing violation or peer hangup closes the connection and drops its
-/// subscriptions.
+/// contract) and owns every socket. Concurrency comes from inside the
+/// core: each read of a socket is handed to ServerCore::ConsumeBytes,
+/// which completes a pipelined run of reads on its read threads and
+/// returns with every response already in order, so the transport keeps
+/// no completion queue and no per-client pending list. Connections map
+/// 1:1 to ServerCore clients; a framing violation or peer hangup closes
+/// the connection and drops its subscriptions.
 ///
 /// Thread affinity is expressed as a capability: everything the command
 /// thread owns is GUARDED_BY(command_role_), so under clang
 /// -Wthread-safety a new method touching the connection table without
 /// declaring the affinity fails the build. The only any-thread entry
-/// points are RequestStop() (atomic flag + self-pipe) and the destructor
-/// of an already-stopped server.
+/// points are RequestStop() (atomic flag + self-pipe, async-signal-safe)
+/// and the destructor of an already-stopped server.
 class SocketServer {
  public:
   /// Queued-output ceiling per connection. A subscriber that never drains
@@ -49,11 +52,14 @@ class SocketServer {
   [[nodiscard]] StatusOr<uint16_t> Listen(uint16_t port);
 
   /// Runs the poll loop until RequestStop() is called (from any thread)
-  /// or an unrecoverable listener error occurs. Command thread.
+  /// or an unrecoverable listener error occurs. After a stop it accepts
+  /// and reads nothing more, but sends the output already queued to
+  /// every peer still reading it before returning. Command thread.
   [[nodiscard]] Status Serve();
 
   /// Wakes the poll loop and makes Serve() return. Safe from any thread
-  /// and from signal-free contexts (writes one byte to a self-pipe).
+  /// and from a signal handler (an atomic store plus one write() to a
+  /// self-pipe).
   void RequestStop();
 
   /// Command thread (reads the connection table).
@@ -76,6 +82,10 @@ class SocketServer {
   /// Flushes queued output; returns false on a dead socket or when the
   /// queue exceeded max_pending_out_.
   bool FlushTo(Connection* conn) REQUIRES(command_role_);
+  /// Serve's stop path: flushes every connection's queued output, polling
+  /// for writability until all is sent or no peer takes bytes within
+  /// kDrainPollMs.
+  void DrainOutput() REQUIRES(command_role_);
   void CloseConnection(int fd) REQUIRES(command_role_);
 
   ServerCore* core_;  // set once in the ctor, never reseated

@@ -16,7 +16,9 @@ namespace popan::server {
 /// Produced serially by StoreBackend::PrepareRead on the command thread;
 /// Complete() is pure and safe on any thread — the response is a
 /// function of (view, request) only, so reads overlap writes without
-/// locks and results are bit-identical at any thread count.
+/// locks and results are bit-identical at any thread count. A ServerCore
+/// with read threads calls Complete on ONE view from several threads at
+/// once (a pipelined read run), so Complete must not write shared state.
 class ReadView {
  public:
   virtual ~ReadView() = default;

@@ -202,11 +202,6 @@ Request NextRequest(SimClient* client, const TrafficConfig& config) {
   return request;
 }
 
-bool IsReadKind(MsgType type) {
-  return type == MsgType::kRange || type == MsgType::kPartialMatch ||
-         type == MsgType::kNearestK || type == MsgType::kCensus;
-}
-
 /// Splits the frames `core` queued for every client into response frames
 /// (owed to the issuing client's entry list) and notification frames
 /// (folded into the receiving client's transcript immediately — delivery

@@ -1,22 +1,30 @@
 // ServerCore: frame pipelining, write/notify routing, WAL lockstep,
-// snapshot-isolated reads, and recovery seeding.
+// snapshot-isolated reads, recovery seeding, and run-parallel reads.
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
 #include "geometry/point.h"
+#include "server/cow_store.h"
 #include "server/protocol.h"
 #include "server/server_core.h"
+#include "server/shard_store.h"
+#include "shard/router.h"
 #include "spatial/pr_tree.h"
 #include "spatial/wal.h"
 #include "testing/statusor_testing.h"
+#include "util/random.h"
 #include "util/status.h"
 
 namespace popan::server {
@@ -372,6 +380,280 @@ TEST(ServerCoreTest, CensusAndKnnOverPipelinedState) {
   const Response& census_response = frames[9].response;
   EXPECT_EQ(census_response.size, 8u);
   EXPECT_GT(census_response.leaf_count, 0u);
+}
+
+// --- Run-parallel reads ----------------------------------------------------
+
+/// Threads in this process, from /proc/self/status.
+size_t ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  ADD_FAILURE() << "no Threads: line in /proc/self/status";
+  return 0;
+}
+
+/// A CowTreeBackend that counts the pins it hands out.
+class CountingBackend final : public StoreBackend {
+ public:
+  explicit CountingBackend(size_t* pins)
+      : inner_(UnitDomain(), SmallTree()), pins_(pins) {}
+
+  const Box2& bounds() const override { return inner_.bounds(); }
+  uint64_t sequence() const override { return inner_.sequence(); }
+  size_t size() const override { return inner_.size(); }
+  [[nodiscard]] StatusOr<uint64_t> ApplyInsert(const Point2& p) override {
+    return inner_.ApplyInsert(p);
+  }
+  [[nodiscard]] StatusOr<uint64_t> ApplyErase(const Point2& p) override {
+    return inner_.ApplyErase(p);
+  }
+  [[nodiscard]] StatusOr<std::unique_ptr<const ReadView>> PrepareRead()
+      const override {
+    ++*pins_;
+    return inner_.PrepareRead();
+  }
+
+ private:
+  CowTreeBackend inner_;
+  size_t* pins_;
+};
+
+Point2 RandomPoint(Pcg32* rng) {
+  return Point2(rng->NextDouble(), rng->NextDouble());
+}
+
+Box2 RandomBox(Pcg32* rng, double max_side) {
+  Point2 lo = RandomPoint(rng);
+  return Box2(lo, Point2(std::min(1.0, lo.x() + max_side * rng->NextDouble()),
+                         std::min(1.0, lo.y() + max_side * rng->NextDouble())));
+}
+
+/// One seeded request frame. Read-heavy bursts draw reads 80% of the
+/// time, so runs of consecutive reads are common; otherwise every kind
+/// is drawn: writes (single, 8-point batch, erase of an earlier point),
+/// subscription control, pings, and malformed payloads (a truncated
+/// range body, which reads as a read type, and an unknown type).
+std::string RandomFrame(Pcg32* rng, bool read_heavy,
+                        std::vector<Point2>* written, uint64_t* subscribes) {
+  uint32_t roll = rng->NextBounded(100);
+  if (read_heavy && rng->NextBounded(10) < 8) roll = rng->NextBounded(50);
+  Request r;
+  if (roll < 25) {
+    r.type = MsgType::kRange;
+    r.box = RandomBox(rng, 0.4);
+  } else if (roll < 37) {
+    r.type = MsgType::kNearestK;
+    r.point = RandomPoint(rng);
+    r.k = 1 + rng->NextBounded(16);
+  } else if (roll < 45) {
+    r.type = MsgType::kPartialMatch;
+    r.axis = static_cast<uint8_t>(rng->NextBounded(2));
+    r.value = rng->NextDouble();
+  } else if (roll < 50) {
+    r.type = MsgType::kCensus;
+  } else if (roll < 64) {
+    r.type = MsgType::kInsert;
+    r.point = RandomPoint(rng);
+    written->push_back(r.point);
+  } else if (roll < 69) {
+    r.type = MsgType::kInsertBatch;
+    for (int i = 0; i < 8; ++i) {
+      r.batch.push_back(RandomPoint(rng));
+      written->push_back(r.batch.back());
+    }
+  } else if (roll < 78) {
+    // Erase an earlier point; it may already be gone (NotFound).
+    r.type = MsgType::kErase;
+    r.point = written->empty()
+                  ? RandomPoint(rng)
+                  : (*written)[rng->NextBounded(
+                        static_cast<uint32_t>(written->size()))];
+  } else if (roll < 84) {
+    r.type = MsgType::kSubscribe;
+    r.box = RandomBox(rng, 0.6);
+    ++*subscribes;
+  } else if (roll < 88) {
+    // Ids are handed out from 1; this one may be dead or someone else's.
+    r.type = MsgType::kUnsubscribe;
+    r.sub_id = 1 + rng->NextBounded(static_cast<uint32_t>(*subscribes + 1));
+  } else if (roll < 92) {
+    r.type = MsgType::kPing;
+  } else {
+    std::string payload;
+    AppendU8(&payload,
+             roll < 96 ? static_cast<uint8_t>(MsgType::kRange) : 0x7f);
+    AppendF64(&payload, 0.5);
+    std::string frame;
+    AppendU32(&frame, static_cast<uint32_t>(payload.size()));
+    return frame + payload;
+  }
+  return Frame(r);
+}
+
+/// Drives `core` with `bursts` seeded pipelined bursts spread over
+/// `clients` clients. Each burst reaches the core in two ConsumeBytes
+/// calls cut at a random byte offset. Returns every client's output
+/// bytes, concatenated in the order the client could read them.
+std::vector<std::string> RunBursts(ServerCore* core, uint64_t seed,
+                                   size_t clients, size_t bursts) {
+  Pcg32 rng(seed);
+  std::vector<uint64_t> ids;
+  for (size_t c = 0; c < clients; ++c) ids.push_back(core->OpenClient());
+  std::vector<std::string> out(clients);
+  std::vector<Point2> written;
+  uint64_t subscribes = 0;
+  for (size_t b = 0; b < bursts; ++b) {
+    size_t c = rng.NextBounded(static_cast<uint32_t>(clients));
+    bool read_heavy = rng.NextBounded(2) == 0;
+    std::string burst;
+    for (uint32_t n = 1 + rng.NextBounded(24); n > 0; --n) {
+      burst += RandomFrame(&rng, read_heavy, &written, &subscribes);
+    }
+    size_t cut = rng.NextBounded(static_cast<uint32_t>(burst.size() + 1));
+    EXPECT_TRUE(core->ConsumeBytes(ids[c], burst.substr(0, cut)).ok());
+    EXPECT_TRUE(core->ConsumeBytes(ids[c], burst.substr(cut)).ok());
+    for (size_t k = 0; k < clients; ++k) out[k] += core->TakeOutput(ids[k]);
+  }
+  return out;
+}
+
+TEST(ServerCoreTest, ReadRunsMatchSerialBytesAtAnyThreadCount) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    std::vector<std::string> serial;
+    for (size_t threads : {0, 1, 3}) {
+      size_t idle = ThreadCount();
+      ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(),
+                                                       SmallTree()),
+                      threads);
+      std::vector<std::string> out = RunBursts(&core, seed, 3, 60);
+      // Read threads started: some burst carried a run of reads.
+      EXPECT_EQ(ThreadCount() > idle, threads > 0) << "seed " << seed;
+      if (threads == 0) {
+        serial = std::move(out);
+        EXPECT_GT(core.notifications_sent(), 0u) << "seed " << seed;
+        continue;
+      }
+      for (size_t c = 0; c < serial.size(); ++c) {
+        EXPECT_TRUE(out[c] == serial[c])
+            << "seed " << seed << " threads " << threads << " client " << c;
+      }
+    }
+  }
+}
+
+TEST(ServerCoreTest, ShardedReadRunsMatchSerialBytesAcrossSplits) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    std::vector<std::string> serial;
+    for (size_t threads : {0, 1, 3}) {
+      shard::RouterOptions options;
+      options.tree = SmallTree();
+      options.rebalance.enabled = true;
+      options.rebalance.split_cost = 3.0;
+      options.rebalance.merge_cost = 1.0;
+      options.rebalance.min_split_points = 16;
+      options.rebalance.check_interval = 8;
+      options.rebalance.max_shards = 16;
+      auto router =
+          std::make_unique<shard::ShardRouter>(UnitDomain(), options);
+      shard::ShardRouter* raw = router.get();
+      size_t idle = ThreadCount();
+      ServerCore core(std::make_unique<ShardStoreBackend>(std::move(router)),
+                      threads);
+      std::vector<std::string> out = RunBursts(&core, seed, 3, 60);
+      EXPECT_GT(raw->splits(), 0u) << "seed " << seed;
+      EXPECT_EQ(ThreadCount() > idle, threads > 0) << "seed " << seed;
+      if (threads == 0) {
+        serial = std::move(out);
+        continue;
+      }
+      for (size_t c = 0; c < serial.size(); ++c) {
+        EXPECT_TRUE(out[c] == serial[c])
+            << "seed " << seed << " threads " << threads << " client " << c;
+      }
+    }
+  }
+}
+
+TEST(ServerCoreTest, PipelinedReadRunTakesOnePin) {
+  for (size_t threads : {0, 3}) {
+    size_t pins = 0;
+    ServerCore core(std::make_unique<CountingBackend>(&pins), threads);
+    uint64_t client = core.OpenClient();
+    ASSERT_TRUE(core.ConsumeBytes(client, Frame(Insert(0.25, 0.5)) +
+                                              Frame(Insert(0.75, 0.5)))
+                    .ok());
+    (void)DrainFrames(&core, client);
+    std::string burst;
+    for (int i = 0; i < 200; ++i) {
+      burst += Frame(Range(Box2(Point2(0.0, 0.0), Point2(0.5, 1.0))));
+    }
+    ASSERT_TRUE(core.ConsumeBytes(client, burst).ok());
+    std::vector<OutFrame> frames = DrainFrames(&core, client);
+    ASSERT_EQ(frames.size(), 200u);
+    for (const OutFrame& frame : frames) {
+      EXPECT_EQ(frame.response.status, 0);
+      ASSERT_EQ(frame.response.points.size(), 1u);
+    }
+    EXPECT_EQ(pins, threads == 0 ? 200u : 1u) << threads << " threads";
+  }
+}
+
+TEST(ServerCoreTest, ReadRunWithNoFreeReaderSlotShedsEachRead) {
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()),
+                  3);
+  uint64_t client = core.OpenClient();
+  std::vector<PreparedRead> held;
+  for (int i = 0; i < 1000; ++i) {
+    StatusOr<PreparedRead> pinned = core.PrepareRead(Range(UnitDomain()));
+    if (!pinned.ok()) break;
+    held.push_back(std::move(pinned).value());
+  }
+  Request census;
+  census.type = MsgType::kCensus;
+  std::string run = Frame(census) + Frame(Range(UnitDomain())) +
+                    Frame(census);
+  ASSERT_TRUE(core.ConsumeBytes(client, run).ok());
+  std::vector<OutFrame> shed = DrainFrames(&core, client);
+  ASSERT_EQ(shed.size(), 3u);
+  for (const OutFrame& frame : shed) {
+    EXPECT_EQ(frame.response.status,
+              static_cast<uint8_t>(StatusCode::kResourceExhausted));
+  }
+  held.clear();
+  ASSERT_TRUE(core.ConsumeBytes(client, run).ok());
+  for (const OutFrame& frame : DrainFrames(&core, client)) {
+    EXPECT_EQ(frame.response.status, 0);
+  }
+}
+
+TEST(ServerCoreTest, ReadThreadsStartOnlyForARunOfReads) {
+  size_t before = ThreadCount();
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()),
+                  3);
+  uint64_t client = core.OpenClient();
+  Request census;
+  census.type = MsgType::kCensus;
+  Request batch;
+  batch.type = MsgType::kInsertBatch;
+  batch.batch = {Point2(0.1, 0.2), Point2(0.3, 0.4)};
+  // Writes and single reads, each read between two writes or alone.
+  ASSERT_TRUE(core.ConsumeBytes(client, Frame(Insert(0.5, 0.5)) +
+                                            Frame(census) + Frame(batch) +
+                                            Frame(Range(UnitDomain())) +
+                                            Frame(Insert(0.6, 0.6)))
+                  .ok());
+  ASSERT_TRUE(core.ConsumeBytes(client, Frame(census)).ok());
+  EXPECT_EQ(DrainFrames(&core, client).size(), 6u);
+  EXPECT_EQ(ThreadCount(), before);
+  // Two reads back to back form a run: the pool starts.
+  ASSERT_TRUE(
+      core.ConsumeBytes(client, Frame(census) + Frame(Range(UnitDomain())))
+          .ok());
+  EXPECT_EQ(DrainFrames(&core, client).size(), 2u);
+  EXPECT_GE(ThreadCount(), before + 3);
 }
 
 }  // namespace

@@ -1,27 +1,44 @@
 // End-to-end loopback test: real sockets, real poll loop, two clients,
-// cross-connection notification delivery, clean shutdown.
+// cross-connection notification delivery, clean shutdown, run-parallel
+// reads behind a real socket, and the popan_server binary itself (flag
+// checking, stop on SIGTERM/SIGINT).
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <signal.h>
+#include <spawn.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "geometry/box.h"
 #include "geometry/point.h"
+#include "server/cow_store.h"
 #include "server/protocol.h"
 #include "server/server_core.h"
 #include "server/socket_server.h"
 #include "spatial/pr_tree.h"
+#include "spatial/wal.h"
 #include "testing/statusor_testing.h"
+#include "util/random.h"
 #include "util/status.h"
+
+extern char** environ;
 
 namespace popan::server {
 namespace {
@@ -50,6 +67,13 @@ class TestClient {
     ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
     return ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                      sizeof(addr)) == 0;
+  }
+
+  /// Makes a blocked read give up after `seconds`, so a reply that never
+  /// comes fails the test instead of hanging it.
+  void SetReceiveTimeout(int seconds) {
+    timeval timeout{seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   }
 
   /// Close with SO_LINGER zero: the kernel sends RST instead of FIN, so
@@ -330,6 +354,328 @@ TEST(SocketServerTest, PendingOutputCapDropsNonDrainingConsumer) {
 
   server.RequestStop();
   serve_thread.join();
+}
+
+TEST(SocketServerTest, StopSendsQueuedOutputFirst) {
+  spatial::PrTreeOptions options;
+  options.capacity = 4;
+  ServerCore core(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options);
+  // A cap well above the replies below, so none of them is refused.
+  SocketServer server(&core, /*max_pending_out=*/64 * 1024 * 1024);
+  uint16_t port = ValueOrDie(server.Listen(0));
+  // Dedicated transport thread (blocks in poll; see above).
+  // popan-lint: allow(raw-thread-spawn)
+  std::thread serve_thread([&server] {
+    Status status = server.Serve();
+    EXPECT_TRUE(status.ok()) << status.ToString();
+  });
+
+  TestClient good;
+  ASSERT_TRUE(good.Connect(port));
+  Request grid;
+  grid.type = MsgType::kInsertBatch;
+  for (int i = 0; i < 64 * 64; ++i) {
+    grid.batch.push_back(
+        Point2(0.005 + (i % 64) / 64.0, 0.005 + (i / 64) / 64.0));
+  }
+  ASSERT_TRUE(good.Send(EncodeRequestFrame(grid)));
+  ASSERT_EQ(good.ReceiveResponse().inserted, 4096u);
+
+  // ~16 MB of replies behind an 8 KB receive window: more than the
+  // kernel's largest send buffer (4 MB), so most of it is still queued in
+  // the server when the stop arrives.
+  TestClient reader;
+  ASSERT_TRUE(reader.Connect(port, /*rcvbuf_bytes=*/4096));
+  Request range;
+  range.type = MsgType::kRange;
+  range.box = Box2(Point2(0.0, 0.0), Point2(1.0, 1.0));
+  std::string burst;
+  for (int i = 0; i < 256; ++i) burst += EncodeRequestFrame(range);
+  ASSERT_TRUE(reader.Send(burst));
+  // Two round trips on another connection guarantee the server has been
+  // through its poll loop and consumed the reader's burst.
+  Request ping;
+  ping.type = MsgType::kPing;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(good.Send(EncodeRequestFrame(ping)));
+    EXPECT_EQ(good.ReceiveResponse().type, ResponseTypeFor(MsgType::kPing));
+  }
+
+  server.RequestStop();
+  reader.SetReceiveTimeout(10);
+  int received = 0;
+  std::string payload;
+  while (received < 256 && reader.ReceivePayload(&payload)) ++received;
+  serve_thread.join();
+  EXPECT_EQ(received, 256);
+}
+
+/// 64 seeded frames: inserts first, then every read kind in runs of up to
+/// eight, broken by inserts, 8-point batches, erases, a subscription
+/// (the client's own writes then notify it), pings and a malformed read.
+std::string MixedBurst(uint64_t seed) {
+  Pcg32 rng(seed);
+  auto point = [&rng] { return Point2(rng.NextDouble(), rng.NextDouble()); };
+  std::vector<Point2> written;
+  std::string burst;
+  Request subscribe;
+  subscribe.type = MsgType::kSubscribe;
+  subscribe.box = Box2(Point2(0.0, 0.0), Point2(0.5, 0.5));
+  burst += EncodeRequestFrame(subscribe);
+  for (int frames = 1; frames < 64;) {
+    Request r;
+    uint32_t roll = frames < 12 ? 0 : rng.NextBounded(10);
+    if (roll < 2) {
+      r.type = MsgType::kInsert;
+      r.point = point();
+      written.push_back(r.point);
+    } else if (roll == 2) {
+      r.type = MsgType::kInsertBatch;
+      for (int i = 0; i < 8; ++i) r.batch.push_back(point());
+    } else if (roll == 3) {
+      r.type = MsgType::kErase;
+      r.point = written[rng.NextBounded(
+          static_cast<uint32_t>(written.size()))];
+    } else if (roll == 4) {
+      r.type = MsgType::kPing;
+    } else if (roll == 5) {
+      std::string payload;
+      AppendU8(&payload, static_cast<uint8_t>(MsgType::kNearestK));
+      AppendU32(&burst, static_cast<uint32_t>(payload.size()));
+      burst += payload;
+      ++frames;
+      continue;
+    } else {
+      for (uint32_t n = 1 + rng.NextBounded(8); n > 0 && frames < 64;
+           --n, ++frames) {
+        Request read;
+        switch (rng.NextBounded(4)) {
+          case 0:
+            read.type = MsgType::kRange;
+            read.box = Box2(point(), Point2(1.0, 1.0));
+            break;
+          case 1:
+            read.type = MsgType::kNearestK;
+            read.point = point();
+            read.k = 1 + rng.NextBounded(8);
+            break;
+          case 2:
+            read.type = MsgType::kPartialMatch;
+            read.axis = static_cast<uint8_t>(rng.NextBounded(2));
+            read.value = rng.NextDouble();
+            break;
+          default:
+            read.type = MsgType::kCensus;
+            break;
+        }
+        burst += EncodeRequestFrame(read);
+      }
+      continue;
+    }
+    burst += EncodeRequestFrame(r);
+    ++frames;
+  }
+  return burst;
+}
+
+/// Serves `burst` from one client write through a real loopback
+/// SocketServer over a core with `read_threads`, and returns every frame
+/// the client receives up to the 64th response.
+std::string ServeBurst(size_t read_threads, const std::string& burst) {
+  spatial::PrTreeOptions options;
+  options.capacity = 2;
+  options.max_depth = 12;
+  ServerCore core(std::make_unique<CowTreeBackend>(
+                      Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options),
+                  read_threads);
+  SocketServer server(&core);
+  uint16_t port = ValueOrDie(server.Listen(0));
+  // Dedicated transport thread (blocks in poll; see above).
+  // popan-lint: allow(raw-thread-spawn)
+  std::thread serve_thread([&server] { (void)server.Serve(); });
+  TestClient client;
+  std::string received;
+  int responses = 0;
+  if (client.Connect(port) && client.Send(burst)) {
+    std::string payload;
+    while (responses < 64 && client.ReceivePayload(&payload)) {
+      if (static_cast<uint8_t>(payload[0]) !=
+          static_cast<uint8_t>(MsgType::kNotification)) {
+        ++responses;
+      }
+      AppendU32(&received, static_cast<uint32_t>(payload.size()));
+      received += payload;
+    }
+  }
+  EXPECT_EQ(responses, 64) << read_threads << " read threads";
+  server.RequestStop();
+  serve_thread.join();
+  return received;
+}
+
+TEST(SocketServerTest, ParallelReadRunsMatchSerialServerBytes) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    std::string burst = MixedBurst(seed);
+    std::string serial = ServeBurst(0, burst);
+    std::string parallel = ServeBurst(3, burst);
+    EXPECT_TRUE(parallel == serial) << "seed " << seed;
+  }
+}
+
+// --- The popan_server binary ---------------------------------------------
+
+/// The popan_server binary as a child process. Standard output is piped
+/// back for the "listening on" line; standard error is discarded. The
+/// destructor kills a child that is still running.
+class ServerProcess {
+ public:
+  ServerProcess() = default;
+  ServerProcess(const ServerProcess&) = delete;
+  ServerProcess& operator=(const ServerProcess&) = delete;
+
+  ~ServerProcess() {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      int status = 0;
+      ::waitpid(pid_, &status, 0);
+    }
+    if (out_fd_ >= 0) ::close(out_fd_);
+  }
+
+  bool Start(const std::vector<std::string>& flags) {
+    int out[2];
+    if (::pipe(out) != 0) return false;
+    posix_spawn_file_actions_t actions;
+    posix_spawn_file_actions_init(&actions);
+    posix_spawn_file_actions_adddup2(&actions, out[1], STDOUT_FILENO);
+    posix_spawn_file_actions_addclose(&actions, out[0]);
+    posix_spawn_file_actions_addopen(&actions, STDERR_FILENO, "/dev/null",
+                                     O_WRONLY, 0);
+    // The child starts with no signal blocked, whatever this runner has.
+    posix_spawnattr_t attr;
+    posix_spawnattr_init(&attr);
+    sigset_t none;
+    sigemptyset(&none);
+    posix_spawnattr_setsigmask(&attr, &none);
+    posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGMASK);
+    std::vector<std::string> args = {POPAN_SERVER_BINARY};
+    args.insert(args.end(), flags.begin(), flags.end());
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    argv.push_back(nullptr);
+    int spawned = ::posix_spawn(&pid_, argv[0], &actions, &attr,
+                                argv.data(), environ);
+    posix_spawnattr_destroy(&attr);
+    posix_spawn_file_actions_destroy(&actions);
+    ::close(out[1]);
+    out_fd_ = out[0];
+    if (spawned != 0) pid_ = -1;
+    return spawned == 0;
+  }
+
+  /// Reads the port from "popan_server listening on 127.0.0.1:<port>";
+  /// 0 when the child exits first.
+  uint16_t WaitForPort() {
+    std::string line;
+    char c = 0;
+    while (::read(out_fd_, &c, 1) == 1 && c != '\n') line.push_back(c);
+    size_t colon = line.rfind(':');
+    if (colon == std::string::npos) return 0;
+    return static_cast<uint16_t>(std::stoul(line.substr(colon + 1)));
+  }
+
+  /// Waits up to ~10 s for the child to exit; returns its exit code, or
+  /// -1 when it was killed by a signal or had to be killed.
+  int WaitForExit() {
+    int status = 0;
+    for (int tries = 0; tries < 1000; ++tries) {
+      pid_t done = ::waitpid(pid_, &status, WNOHANG);
+      if (done == pid_) {
+        pid_ = -1;
+        return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+      }
+      ::usleep(10 * 1000);
+    }
+    return -1;  // the destructor kills it
+  }
+
+  void Signal(int sig) { ::kill(pid_, sig); }
+
+ private:
+  pid_t pid_ = -1;
+  int out_fd_ = -1;
+};
+
+TEST(ServerBinaryTest, MalformedNumericFlagsExitTwo) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--port", "70000"},       {"--port", "abc"},
+      {"--port", "-1"},          {"--port", "80x"},
+      {"--port", ""},            {"--max-depth", "-1"},
+      {"--max-depth", "65"},     {"--capacity", "0"},
+      {"--capacity", "4.5"},     {"--side", "nan"},
+      {"--side", "-1"},          {"--side", "0"},
+      {"--split-cost", "inf"},   {"--shards", "99999999999999999999"},
+      {"--shards", "4", "--split-cost", "24"},
+      {"--port"},
+  };
+  for (const std::vector<std::string>& flags : cases) {
+    ServerProcess server;
+    ASSERT_TRUE(server.Start(flags));
+    EXPECT_EQ(server.WaitForExit(), 2) << flags[0] << " " << flags.back();
+  }
+}
+
+TEST(ServerBinaryTest, StopSignalExitsZeroWithAckedWritesInTheWal) {
+  for (int sig : {SIGTERM, SIGINT}) {
+    std::string wal = ::testing::TempDir() + "popan_stop_" +
+                      std::to_string(::getpid()) + "_" +
+                      std::to_string(sig) + ".wal";
+    std::remove(wal.c_str());
+    ServerProcess server;
+    ASSERT_TRUE(server.Start({"--port", "0", "--wal", wal}));
+    uint16_t port = server.WaitForPort();
+    ASSERT_GT(port, 0);
+    TestClient client;
+    ASSERT_TRUE(client.Connect(port));
+    // 40 pipelined inserts, an erase of the first, and a read run; every
+    // write is acknowledged before the signal.
+    std::string burst;
+    for (int i = 0; i < 40; ++i) {
+      Request insert;
+      insert.type = MsgType::kInsert;
+      insert.point = Point2(0.01 + 0.024 * i, 0.99 - 0.024 * i);
+      burst += EncodeRequestFrame(insert);
+    }
+    Request erase;
+    erase.type = MsgType::kErase;
+    erase.point = Point2(0.01, 0.99);
+    Request census;
+    census.type = MsgType::kCensus;
+    burst += EncodeRequestFrame(erase) + EncodeRequestFrame(census) +
+             EncodeRequestFrame(census);
+    ASSERT_TRUE(client.Send(burst));
+    for (uint64_t seq = 1; seq <= 41; ++seq) {
+      EXPECT_EQ(client.ReceiveResponse().sequence, seq);
+    }
+    for (int i = 0; i < 2; ++i) {
+      Response response = client.ReceiveResponse();
+      EXPECT_EQ(response.size, 39u);
+      EXPECT_EQ(response.sequence, 41u);
+    }
+
+    server.Signal(sig);
+    EXPECT_EQ(server.WaitForExit(), 0) << "signal " << sig;
+    std::ifstream in(wal, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    spatial::WalRecovery recovery =
+        ValueOrDie(spatial::ReplayWal(text.str()));
+    EXPECT_EQ(recovery.last_sequence, 41u);
+    EXPECT_EQ(recovery.tree.size(), 39u);
+    EXPECT_FALSE(recovery.truncated_tail);
+    EXPECT_FALSE(recovery.tree.Contains(Point2(0.01, 0.99)));
+    std::remove(wal.c_str());
+  }
 }
 
 }  // namespace
