@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 
 #include "core/query_model.h"
@@ -21,7 +22,9 @@ namespace popan::server {
 /// counters. `domain` is the root block the snapshot covers (the model's
 /// normalisation). `Execute(snapshot, spec)` resolves by argument-dependent
 /// lookup: query::Execute for a SnapshotView2, shard::Execute (fan-out +
-/// canonical merge) for a MultiSnapshot.
+/// canonical merge) for a MultiSnapshot. One view serves a whole read run,
+/// completed concurrently by the read pool, so the cost model its answers
+/// carry is built once per view, on first use.
 template <typename Snapshot>
 class SnapshotReadView final : public ReadView {
  public:
@@ -60,8 +63,7 @@ class SnapshotReadView final : public ReadView {
     // evaluated on the pinned version, so a client can compare predicted
     // against measured work per request.
     if (request.type != MsgType::kNearestK && snapshot_.size() > 0) {
-      core::QueryCostModel model =
-          core::QueryCostModel::FromCensus(snapshot_.LiveCensus(), domain_);
+      const core::QueryCostModel& model = Model();
       if (request.type == MsgType::kRange) {
         double qx = std::min(request.box.Extent(0), domain_.Extent(0));
         double qy = std::min(request.box.Extent(1), domain_.Extent(1));
@@ -76,8 +78,20 @@ class SnapshotReadView final : public ReadView {
   uint64_t sequence() const override { return snapshot_.sequence(); }
 
  private:
+  /// The census-driven model of the pinned version. Complete runs on
+  /// several read workers at once, hence call_once.
+  const core::QueryCostModel& Model() const {
+    std::call_once(model_once_, [this] {
+      model_ = core::QueryCostModel::FromCensus(snapshot_.LiveCensus(),
+                                                domain_);
+    });
+    return model_;
+  }
+
   Snapshot snapshot_;
   geo::Box2 domain_;
+  mutable std::once_flag model_once_;
+  mutable core::QueryCostModel model_;
 };
 
 }  // namespace popan::server

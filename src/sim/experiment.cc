@@ -50,6 +50,7 @@ ExperimentResult ReduceOutcomes(const ExperimentSpec& spec,
         for (size_t t = begin; t < end; ++t) {
           acc.occupancy.Add(outcomes[t].occupancy);
           acc.leaves.Add(outcomes[t].leaves);
+          acc.node_bytes.Add(outcomes[t].node_bytes);
           acc.census.Merge(outcomes[t].census);
         }
         return acc;
@@ -61,6 +62,7 @@ ExperimentResult ReduceOutcomes(const ExperimentSpec& spec,
   result.mean_occupancy = total.occupancy.mean();
   result.stddev_occupancy = total.occupancy.SampleStddev();
   result.mean_leaves = total.leaves.mean();
+  result.mean_node_bytes = total.node_bytes.mean();
   result.occupancy_summary = total.occupancy.ToSummary();
   result.proportions = result.pooled_census.Proportions(spec.capacity + 1);
   return result;

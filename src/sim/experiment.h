@@ -57,6 +57,10 @@ struct ExperimentResult {
   /// Mean leaves per trial (Table 4/5's "nodes" column).
   double mean_leaves = 0.0;
 
+  /// Mean bytes the trials' node pools hold (PrTree::NodeBytes): nodes
+  /// per point times the slot size, per point once divided by N.
+  double mean_node_bytes = 0.0;
+
   /// Full summary (CI etc.) of the per-trial occupancies.
   SampleSummary occupancy_summary;
 };
@@ -115,6 +119,7 @@ struct TrialOutcome {
   spatial::Census census;
   double occupancy = 0.0;
   double leaves = 0.0;
+  double node_bytes = 0.0;
 };
 
 /// Builds one tree from the trial's own RNG stream and takes its census.
@@ -144,6 +149,7 @@ TrialOutcome RunSingleTrial(const ExperimentSpec& spec, size_t trial) {
   outcome.census = tree.LiveCensus();
   outcome.occupancy = outcome.census.AverageOccupancy();
   outcome.leaves = static_cast<double>(outcome.census.LeafCount());
+  outcome.node_bytes = static_cast<double>(tree.NodeBytes());
   return outcome;
 }
 
@@ -154,11 +160,13 @@ TrialOutcome RunSingleTrial(const ExperimentSpec& spec, size_t trial) {
 struct ChunkAccumulator {
   RunningMoments occupancy;
   RunningMoments leaves;
+  RunningMoments node_bytes;
   spatial::Census census;
 
   void Merge(const ChunkAccumulator& other) {
     occupancy.Merge(other.occupancy);
     leaves.Merge(other.leaves);
+    node_bytes.Merge(other.node_bytes);
     census.Merge(other.census);
   }
 };

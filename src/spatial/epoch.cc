@@ -62,9 +62,10 @@ void EpochManager::ReleaseSlot(size_t slot) {
   slots_[slot].claimed.store(false, std::memory_order_release);
 }
 
-void EpochManager::Retire(void* ptr, void (*deleter)(void*)) {
+void EpochManager::Retire(void* ptr, void (*deleter)(void*, void*),
+                          void* context) {
   popan::AssumeRole writer(writer_role_);
-  limbo_.push_back(LimboEntry{current_epoch(), ptr, deleter});
+  limbo_.push_back(LimboEntry{current_epoch(), ptr, context, deleter});
   objects_retired_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -90,7 +91,7 @@ size_t EpochManager::Reclaim() {
   while (!limbo_.empty() && limbo_.front().epoch < bound) {
     LimboEntry entry = limbo_.front();
     limbo_.pop_front();
-    entry.deleter(entry.ptr);
+    entry.deleter(entry.ptr, entry.context);
     ++freed;
   }
   if (freed != 0) {
@@ -105,7 +106,7 @@ size_t EpochManager::ReclaimAll() {
   while (!limbo_.empty()) {
     LimboEntry entry = limbo_.front();
     limbo_.pop_front();
-    entry.deleter(entry.ptr);
+    entry.deleter(entry.ptr, entry.context);
     ++freed;
   }
   if (freed != 0) {

@@ -129,14 +129,17 @@ class EpochManager {
   [[nodiscard]] Pin PinReader();
 
   /// Writer: places `ptr` in limbo, tagged with the current epoch, to be
-  /// deleted by a later Reclaim once no pinned reader can reach it.
-  void Retire(void* ptr, void (*deleter)(void*));
+  /// released by a later Reclaim, once no pinned reader can reach it, as
+  /// deleter(ptr, context). The context names where the object goes back
+  /// to (the snapshot tree passes its node pool).
+  void Retire(void* ptr, void (*deleter)(void* ptr, void* context),
+              void* context = nullptr);
 
-  /// Typed convenience form of Retire.
+  /// Typed convenience form of Retire: `delete ptr` when reclaimed.
   template <typename T>
   void RetireObject(const T* ptr) {
     Retire(const_cast<T*>(ptr),
-           [](void* p) { delete static_cast<T*>(p); });
+           [](void* p, void*) { delete static_cast<T*>(p); });
   }
 
   /// Writer: advances the global epoch; returns the new value.
@@ -198,7 +201,8 @@ class EpochManager {
   struct LimboEntry {
     uint64_t epoch;  // tag: global epoch at retire time
     void* ptr;
-    void (*deleter)(void*);
+    void* context;
+    void (*deleter)(void*, void*);
   };
 
   void ReleaseSlot(size_t slot);

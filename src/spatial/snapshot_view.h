@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "geometry/point.h"
 #include "spatial/census.h"
 #include "spatial/epoch.h"
+#include "spatial/node_pool.h"
 #include "spatial/pr_tree.h"
 #include "spatial/pr_tree_reader.h"
 #include "spatial/pr_tree_writer.h"
@@ -27,14 +29,19 @@ class SnapshotView;
 
 /// An immutable snapshot-tree node: the shared PR node with pointer
 /// children. Never modified after the version holding it is published;
-/// freed through the epoch limbo list when replaced.
+/// returned to the tree's pool through the epoch limbo list when replaced.
 template <size_t D>
-struct CowNode : PrNode<D, const CowNode<D>*> {};
+struct CowNode : PrNode<D, const CowNode<D>*> {
+  using PrNode<D, const CowNode<D>*>::PrNode;
+};
 
-// Path copying allocates one node per level per write, so the node size
-// is the snapshot tree's memory footprint; pinned against layout growth.
-static_assert(sizeof(void*) != 8 || sizeof(CowNode<2>) <= 200,
-              "snapshot quadtree node grew past 200 bytes");
+// The slot size is the snapshot tree's memory footprint (path copying
+// takes one slot per level per write); pinned against layout growth.
+static_assert(sizeof(void*) != 8 ||
+                  (CowNode<2>::SlotBytes(1) == 40 &&
+                   CowNode<2>::SlotBytes(4) == 72 &&
+                   CowNode<2>::SlotBytes(8) == 136),
+              "snapshot quadtree slot sizes moved");
 
 /// A copy-on-write PR tree for single-writer / multi-reader workloads:
 /// the concurrent sibling of PrTree<D>. Both run the same writer
@@ -45,7 +52,9 @@ static_assert(sizeof(void*) != 8 || sizeof(CowNode<2>) <= 200,
 /// CowPrTree never writes a published node: once an Insert/Erase is known
 /// to succeed it copies the recorded root-to-leaf path, and the shared
 /// writer then mutates only those copies and the nodes it allocates. A
-/// collapse deletes the copies it drops and retires the shared siblings.
+/// collapse returns the copies it drops to the pool at once and retires
+/// the shared siblings. Every node is a slot of the tree's NodePool, whose
+/// chunks never move; retired nodes go back to it through the limbo.
 /// The new root is published inside a new immutable Version with one
 /// atomic store; a failed operation copies and publishes nothing.
 /// Readers pin an epoch and load the version head (SnapshotView); from
@@ -71,7 +80,6 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   using PointT = geo::Point<D>;
   using BoxT = geo::Box<D>;
   static constexpr size_t kFanout = size_t{1} << D;
-  static constexpr size_t kInlineLeafCapacity = PrTree<D>::kInlineLeafCapacity;
 
   /// Creates an empty tree over `bounds`. `initial_sequence` anchors the
   /// version counter — pass the WAL/checkpoint sequence the starting
@@ -82,10 +90,13 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   explicit CowPrTree(const BoxT& bounds, const PrTreeOptions& options = {},
                      uint64_t initial_sequence = 0,
                      size_t epoch_readers = EpochManager::kMaxReaders)
-      : bounds_(bounds), options_(options), epochs_(epoch_readers) {
+      : bounds_(bounds),
+        options_(options),
+        pool_(Node::SlotBytes(options.capacity)),
+        epochs_(epoch_readers) {
     POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
     Version* v = new Version;
-    v->root = new Node;
+    v->root = NewNode();
     v->sequence = initial_sequence;
     v->hist = this->live_hist_;
     head_.store(v, std::memory_order_seq_cst);
@@ -93,9 +104,10 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
 
   ~CowPrTree() {
     const Version* v = head_.load(std::memory_order_relaxed);
-    DeleteSubtree(v->root);
+    this->ReleaseSpills(v->root);
     delete v;
-    // epochs_'s destructor drains the limbo list.
+    // epochs_'s destructor drains the limbo list into pool_, which is
+    // destroyed after it and frees every slot with its chunks.
   }
 
   CowPrTree(const CowPrTree&) = delete;
@@ -114,6 +126,26 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   /// The reclamation machinery, exposed for storm harnesses and benches
   /// (counters from any thread; Retire/Advance/Reclaim writer-only).
   EpochManager& epochs() const { return epochs_; }
+
+  /// The node pool (writer thread only): slot and spill-block counts.
+  const NodePool<void*>& pool() const { return pool_; }
+
+  /// Bytes of one node slot (PrNode::SlotBytes of the capacity).
+  size_t SlotBytes() const { return pool_.slot_bytes(); }
+
+  /// Points a leaf holds inside its slot before spilling (>= capacity).
+  size_t LaneCapacity() const { return Root()->lane_capacity(); }
+
+  /// Bytes the nodes hold: live slots x slot bytes, plus spill blocks.
+  /// Live slots include replaced nodes still in the epoch limbo, so this
+  /// equals the newest version's footprint once no reader is pinned.
+  /// Writer thread only.
+  size_t NodeBytes() const {
+    return pool_.LiveCount() * pool_.slot_bytes() + SpillBytes();
+  }
+
+  /// Bytes held by the spill blocks of leaves that outgrew their lanes.
+  size_t SpillBytes() const { return pool_.spills().bytes(); }
 
   /// Pins the current epoch and returns a frozen view of the newest
   /// published version. Any thread; the view holds its pin until
@@ -161,20 +193,34 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   static Node& MutableNodeAt(const Node* node) {
     return const_cast<Node&>(*node);
   }
-  static const Node* NewNode() { return new Node; }
+  Node* NewNode() { return ::new (pool_.Allocate()) Node(pool_.slot_bytes()); }
   void FreeNode(const Node* node, bool on_path) {
     if (on_path) {
-      delete node;  // this operation's copy, never published
+      ReclaimNode(const_cast<Node*>(node), &pool_);  // never published
     } else {
-      epochs_.RetireObject(node);
+      Retire(node);
     }
   }
+  SpillBlocks& Spills() { return pool_.spills(); }
 
-  /// Replaces every node of the descent path with a copy, linked into its
-  /// parent's copy in place of the original, and retires the originals.
-  /// Leaf first: copying top-down instead slowed the 2^20-insert preload
-  /// of perfbench's range_scan by ~10% (4-core x86 VM, gcc 12), through
-  /// the allocator's reuse order of the retired path.
+  /// Hands `node` to the epoch limbo; a later Reclaim returns its slot
+  /// (and spill block) to pool_.
+  void Retire(const Node* node) {
+    epochs_.Retire(const_cast<Node*>(node), &ReclaimNode, &pool_);
+  }
+
+  /// The limbo deleter, with the pool as its context.
+  static void ReclaimNode(void* node, void* pool) {
+    auto* nodes = static_cast<NodePool<void*>*>(pool);
+    static_cast<Node*>(node)->clear(nodes->spills());
+    nodes->Free(node);
+  }
+
+  /// Replaces every node of the descent path with a copy from the pool,
+  /// linked into its parent's copy in place of the original, and retires
+  /// the originals. Leaf first: copying top-down instead slowed the
+  /// 2^20-insert preload of perfbench's range_scan by ~10% (4-core x86 VM,
+  /// gcc 12), through the reuse order of the retired path.
   /// Retiring ahead of the head store is safe: nothing tagged with the
   /// current epoch is reclaimed until Publish has stored the new head and
   /// advanced the epoch.
@@ -182,12 +228,10 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
     Node* child = nullptr;
     const Node* original = nullptr;
     for (size_t i = path.size(); i-- > 0;) {
-      Node* copy = new Node(*path[i]);
-      epochs_.RetireObject(path[i]);
-      if (child != nullptr) {
-        *std::find(copy->children.begin(), copy->children.end(), original) =
-            child;
-      }
+      Node* copy = NewNode();
+      copy->CopyFrom(*path[i], pool_.spills());
+      Retire(path[i]);
+      if (child != nullptr) copy->ReplaceChild(original, child);
       original = path[i];
       path[i] = copy;
       child = copy;
@@ -212,23 +256,11 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
     epochs_.Reclaim();
   }
 
-  static void DeleteSubtree(const Node* root) {
-    std::vector<const Node*> stack;
-    stack.push_back(root);
-    while (!stack.empty()) {
-      const Node* node = stack.back();
-      stack.pop_back();
-      if (!node->is_leaf) {
-        for (size_t q = 0; q < kFanout; ++q) {
-          stack.push_back(node->children[q]);
-        }
-      }
-      delete node;
-    }
-  }
-
   BoxT bounds_;
   PrTreeOptions options_;
+  // Declared before epochs_: the limbo drain in ~EpochManager returns the
+  // last retired nodes to this pool.
+  NodePool<void*> pool_;
   mutable EpochManager epochs_;
   std::atomic<const Version*> head_{nullptr};
 };

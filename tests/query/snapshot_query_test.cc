@@ -62,9 +62,10 @@ std::vector<std::pair<size_t, size_t>> LeafSequence(const Tree& tree) {
 // Execute against an epoch snapshot must be bitwise identical — results
 // AND cost counters — to Execute against a stop-the-world PrTree holding
 // the same points: one shared traversal, same node shape, frozen nodes.
-// Capacities above the 8-point inline leaf and max_depth 3 (truncated
-// leaves absorbing overflow) make the snapshot path-copy spilled leaves;
-// interleaved erases exercise swap-removal and collapse.
+// Capacities 1-12 size the slots from 24 to 200 bytes, and max_depth 3
+// (truncated leaves absorbing overflow past their lanes) makes the
+// snapshot path-copy spilled leaves; interleaved erases exercise
+// swap-removal, un-spills and collapse.
 TEST(SnapshotQueryTest, ExecuteMatchesPrQuadtreeBitwise) {
   for (uint64_t seed : {11u, 12u, 13u}) {
     for (size_t capacity : {1u, 4u, 8u, 12u}) {

@@ -2,6 +2,7 @@
 // snapshot-isolated reads, recovery seeding, and run-parallel reads.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <limits>
@@ -21,6 +22,7 @@
 #include "server/server_core.h"
 #include "server/shard_store.h"
 #include "shard/router.h"
+#include "sim/thread_pool.h"
 #include "spatial/pr_tree.h"
 #include "spatial/wal.h"
 #include "testing/statusor_testing.h"
@@ -307,6 +309,51 @@ TEST(ServerCoreTest, PreparedReadSeesItsSnapshotNotLaterWrites) {
   PreparedRead fresh = ValueOrDie(
       core.PrepareRead(Range(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)))));
   EXPECT_EQ(ServerCore::CompleteRead(fresh).points.size(), 3u);
+}
+
+TEST(ServerCoreTest, OneViewPredictsAllItsReadsFromOneCostModel) {
+  // A pinned view serves a whole read run, completed by several threads at
+  // once, and builds its cost model once. Every predicted_nodes must equal,
+  // bit for bit, the answer of a view pinned for that read alone.
+  ServerCore core(UnitDomain(), SmallTree());
+  uint64_t client = core.OpenClient();
+  Pcg32 rng(17);
+  std::string inserts;
+  for (int i = 0; i < 300; ++i) {
+    inserts += Frame(Insert(rng.NextDouble(), rng.NextDouble()));
+  }
+  ASSERT_TRUE(core.ConsumeBytes(client, inserts).ok());
+  (void)DrainFrames(&core, client);
+  std::vector<Request> reads;
+  for (int i = 0; i < 64; ++i) {
+    if (i % 4 == 3) {
+      Request r;
+      r.type = MsgType::kPartialMatch;
+      r.axis = static_cast<uint8_t>(i % 2);
+      r.value = rng.NextDouble();
+      reads.push_back(r);
+    } else {
+      const double x = rng.NextDouble(0.0, 0.7);
+      const double y = rng.NextDouble(0.0, 0.7);
+      const double side = rng.NextDouble(0.01, 0.3);
+      reads.push_back(Range(Box2(Point2(x, y), Point2(x + side, y + side))));
+    }
+  }
+  std::vector<uint64_t> expected;
+  for (const Request& r : reads) {
+    const Response alone =
+        ServerCore::CompleteRead(ValueOrDie(core.PrepareRead(r)));
+    ASSERT_GT(alone.predicted_nodes, 0.0);
+    expected.push_back(std::bit_cast<uint64_t>(alone.predicted_nodes));
+  }
+  const PreparedRead shared = ValueOrDie(core.PrepareRead(reads[0]));
+  std::vector<uint64_t> got(reads.size());
+  sim::ThreadPool pool(3);
+  pool.ParallelFor(reads.size(), [&](size_t i) {
+    got[i] = std::bit_cast<uint64_t>(
+        shared.view->Complete(reads[i]).predicted_nodes);
+  });
+  EXPECT_EQ(got, expected);
 }
 
 TEST(ServerCoreTest, WalStaysInLockstepAndReplays) {

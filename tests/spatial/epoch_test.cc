@@ -15,7 +15,7 @@ std::atomic<int> g_freed{0};
 
 int* NewTracked() { return new int(0); }
 
-void TrackedDeleter(void* p) {
+void TrackedDeleter(void* p, void* /*context*/) {
   delete static_cast<int*>(p);
   g_freed.fetch_add(1, std::memory_order_relaxed);
 }
@@ -115,6 +115,38 @@ TEST_F(EpochTest, DestructorDrainsLimbo) {
     epochs.Retire(NewTracked(), TrackedDeleter);
   }
   EXPECT_EQ(g_freed.load(std::memory_order_relaxed), 2);
+}
+
+TEST_F(EpochTest, RetireCarriesItsContextToTheDeleter) {
+  // The snapshot tree retires pooled nodes with the pool as context; the
+  // deleter must see that context, entry by entry, in retire order, on
+  // both the Reclaim and the ReclaimAll path.
+  struct Sink {
+    std::vector<int> released;
+  };
+  const auto release = [](void* p, void* context) {
+    static_cast<Sink*>(context)->released.push_back(*static_cast<int*>(p));
+    delete static_cast<int*>(p);
+  };
+  Sink first;
+  Sink second;
+  {
+    EpochManager epochs;
+    epochs.Retire(new int(1), release, &first);
+    epochs.Retire(new int(2), release, &second);
+    epochs.Retire(new int(3), release, &first);
+    EpochManager::Pin pin = epochs.PinReader();
+    epochs.AdvanceEpoch();
+    epochs.Retire(new int(4), release, &second);
+    EXPECT_EQ(epochs.Reclaim(), 0u);  // the pin holds epoch 1
+    pin.Release();
+    epochs.AdvanceEpoch();
+    EXPECT_EQ(epochs.Reclaim(), 4u);
+    epochs.Retire(new int(5), release, &first);
+    EXPECT_EQ(epochs.objects_reclaimed(), 4u);
+  }  // the destructor's ReclaimAll releases 5
+  EXPECT_EQ(first.released, (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(second.released, (std::vector<int>{2, 4}));
 }
 
 // The TSan smoke for the manager itself: readers pin/unpin in a tight
