@@ -12,6 +12,10 @@
 //     deterministic (the pinned version is a function of the op count, the
 //     workloads are counter-based) and gated; the throughput numbers are
 //     reported ungated.
+//  3. Write runs (recorded, ungated): uniform inserts into a 2^18-point
+//     tree in runs of b = 1, 8, 32, 64. Nodes replaced per write, against
+//     the expected union of b random root-to-leaf paths, and Versions
+//     published per write.
 //
 //   POPAN_CONCURRENCY_POINTS   initial tree size        (default 20000)
 //   POPAN_CONCURRENCY_OPS      churn ops per phase      (default 20000)
@@ -19,6 +23,7 @@
 //   POPAN_READER_THREADS       run ONLY this count      (default 1,2,8,16)
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -34,6 +39,7 @@
 #include "sim/experiment.h"
 #include "sim/rw_storm.h"
 #include "sim/table.h"
+#include "spatial/census.h"
 #include "spatial/snapshot_view.h"
 #include "util/random.h"
 
@@ -67,6 +73,28 @@ size_t EnvOr(const char* name, size_t fallback) {
     }
   }
   return fallback;
+}
+
+/// Expected nodes a write replaces when b uniform writes share one run:
+/// the union of their root-to-leaf paths (Broutin-Holmgren's path length
+/// of split trees), over b. Level l holds N_l nodes of area 4^-l, and b
+/// writes all miss one of them with probability (1 - 4^-l)^b, so the
+/// union is sum_l N_l (1 - (1 - 4^-l)^b). At full levels N_l = 4^l; the
+/// census cuts the sum at the leaf depth (leaves per level, plus one
+/// internal node per four nodes of the level below).
+double PredictedNodesPerWrite(const popan::spatial::Census& census,
+                              size_t b) {
+  const size_t depth = census.MaxDepth();
+  std::vector<double> nodes(depth + 2, 0.0);
+  for (size_t l = depth + 1; l-- > 0;) {
+    nodes[l] = static_cast<double>(census.LeavesAtDepth(l)) + nodes[l + 1] / 4;
+  }
+  double union_nodes = 0.0;
+  for (size_t l = 0; l <= depth; ++l) {
+    const double miss = 1.0 - std::ldexp(1.0, -2 * static_cast<int>(l));
+    union_nodes += nodes[l] * (1.0 - std::pow(miss, static_cast<double>(b)));
+  }
+  return union_nodes / static_cast<double>(b);
 }
 
 std::vector<size_t> ReaderMatrix() {
@@ -228,6 +256,52 @@ int main() {
   std::printf("final size %zu, sequence %llu, limbo %zu\n", tree.size(),
               static_cast<unsigned long long>(tree.sequence()),
               tree.epochs().limbo_size());
+
+  // ---- Phase 3: write runs, path union predicted vs measured. ----------
+  {
+    constexpr size_t kRunPoints = size_t{1} << 18;
+    constexpr size_t kRunWrites = 8192;
+    CowPrQuadtree grown(Box2::UnitCube(), options);
+    Pcg32 rng(kSeed + 2);
+    auto insert_one = [&grown, &rng] {
+      while (!grown.Insert(Point2(rng.NextDouble(), rng.NextDouble())).ok()) {
+      }
+    };
+    {
+      CowPrQuadtree::WriteRun run(&grown);
+      while (grown.size() < kRunPoints) insert_one();
+    }
+    TextTable runs("Write runs of b uniform inserts into 2^18 points (m = 4)");
+    runs.SetHeader({"b", "nodes/write predicted", "nodes/write measured",
+                    "versions/write"});
+    for (size_t b : {1, 8, 32, 64}) {
+      const double predicted = PredictedNodesPerWrite(grown.LiveCensus(), b);
+      const uint64_t retired = grown.epochs().objects_retired();
+      const uint64_t versions = grown.epochs().epochs_advanced();
+      for (size_t writes = 0; writes < kRunWrites; writes += b) {
+        CowPrQuadtree::WriteRun run(&grown);
+        for (size_t i = 0; i < b; ++i) insert_one();
+      }
+      // Every version published retires the one before it; the rest of
+      // what the runs retired are the nodes they replaced.
+      const uint64_t published = grown.epochs().epochs_advanced() - versions;
+      const double measured =
+          static_cast<double>(grown.epochs().objects_retired() - retired -
+                              published) /
+          kRunWrites;
+      const double versions_per_write =
+          static_cast<double>(published) / kRunWrites;
+      runs.AddRow({std::to_string(b), TextTable::Fmt(predicted, 2),
+                   TextTable::Fmt(measured, 2),
+                   TextTable::Fmt(versions_per_write, 4)});
+      std::string tag = "_b";
+      tag += std::to_string(b);
+      json.Add("run_nodes_per_write_predicted" + tag, predicted)
+          .Add("run_nodes_per_write" + tag, measured)
+          .Add("run_versions_per_write" + tag, versions_per_write);
+    }
+    std::printf("\n%s\n", runs.Render().c_str());
+  }
 
   json.WriteFile();
   popan::Status gate = GateAgainstReference(json, gate_fields);

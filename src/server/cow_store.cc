@@ -16,10 +16,13 @@ CowTreeBackend::CowTreeBackend(const geo::Box2& bounds,
       wal_(wal) {
   POPAN_CHECK(initial_sequence >= seed_points.size())
       << "recovered sequence smaller than the recovered point count";
-  for (const geo::Point2& p : seed_points) {
-    Status applied = tree_.Insert(p);
-    POPAN_CHECK(applied.ok())
-        << "seed point rejected: " << applied.ToString();
+  {
+    spatial::CowPrQuadtree::WriteRun run(&tree_);
+    for (const geo::Point2& p : seed_points) {
+      Status applied = tree_.Insert(p);
+      POPAN_CHECK(applied.ok())
+          << "seed point rejected: " << applied.ToString();
+    }
   }
   POPAN_CHECK(tree_.sequence() == initial_sequence);
   if (wal_ != nullptr) {
@@ -30,24 +33,36 @@ CowTreeBackend::CowTreeBackend(const geo::Box2& bounds,
 
 StatusOr<uint64_t> CowTreeBackend::ApplyInsert(const geo::Point2& p) {
   POPAN_RETURN_IF_ERROR(tree_.Insert(p));
-  uint64_t seq = tree_.sequence();
-  if (wal_ != nullptr) {
-    StatusOr<uint64_t> logged = wal_->LogInsert(p);
-    POPAN_CHECK(logged.ok() && logged.value() == seq)
-        << "WAL fell out of step with the tree";
-  }
-  return seq;
+  Log('I', p, tree_.sequence());
+  return tree_.sequence();
 }
 
 StatusOr<uint64_t> CowTreeBackend::ApplyErase(const geo::Point2& p) {
   POPAN_RETURN_IF_ERROR(tree_.Erase(p));
-  uint64_t seq = tree_.sequence();
+  Log('E', p, tree_.sequence());
+  return tree_.sequence();
+}
+
+void CowTreeBackend::Log(char op, const geo::Point2& p, uint64_t seq) {
+  if (wal_ == nullptr) return;
+  StatusOr<uint64_t> logged =
+      op == 'I' ? wal_->LogInsert(p) : wal_->LogErase(p);
+  POPAN_CHECK(logged.ok()) << "WAL append failed: "
+                           << logged.status().ToString();
+  POPAN_CHECK(logged.value() == seq) << "WAL fell out of step with the tree";
+}
+
+void CowTreeBackend::BeginWriteRun() {
+  tree_.BeginRun();
+  if (wal_ != nullptr) wal_->BeginRun();
+}
+
+void CowTreeBackend::EndWriteRun() {
   if (wal_ != nullptr) {
-    StatusOr<uint64_t> logged = wal_->LogErase(p);
-    POPAN_CHECK(logged.ok() && logged.value() == seq)
-        << "WAL fell out of step with the tree";
+    Status flushed = wal_->EndRun();
+    POPAN_CHECK(flushed.ok()) << "WAL flush failed: " << flushed.ToString();
   }
-  return seq;
+  tree_.EndRun();
 }
 
 StatusOr<std::unique_ptr<const ReadView>> CowTreeBackend::PrepareRead()

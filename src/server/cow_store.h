@@ -46,12 +46,21 @@ class CowTreeBackend final : public StoreBackend {
       const geo::Point2& p) override;
   [[nodiscard]] StatusOr<uint64_t> ApplyErase(
       const geo::Point2& p) override;
+  /// A run shares path copies and publishes one version per
+  /// CowPrTree::kMaxRunOps writes; its WAL records are flushed once, at
+  /// EndWriteRun, which aborts the process if the flush fails.
+  void BeginWriteRun() override;
+  void EndWriteRun() override;
   [[nodiscard]] StatusOr<std::unique_ptr<const ReadView>> PrepareRead()
       const override;
 
   const spatial::CowPrQuadtree& tree() const { return tree_; }
 
  private:
+  /// Logs the write the tree just stamped with `seq`; aborts the process
+  /// when the log cannot take it, before any ack of it can leave.
+  void Log(char op, const geo::Point2& p, uint64_t seq);
+
   spatial::CowPrQuadtree tree_;
   spatial::WalWriter* wal_;
 };

@@ -65,6 +65,12 @@ inline constexpr bool IsReadKind(MsgType t) {
          t == MsgType::kNearestK || t == MsgType::kCensus;
 }
 
+/// Request types that change the store.
+inline constexpr bool IsWriteKind(MsgType t) {
+  return t == MsgType::kInsert || t == MsgType::kErase ||
+         t == MsgType::kInsertBatch;
+}
+
 /// A decoded request. Exactly the fields named by `type` are meaningful.
 struct Request {
   MsgType type = MsgType::kPing;

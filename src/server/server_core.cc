@@ -81,14 +81,26 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
   // pipelining work: a burst of N requests is answered with N responses
   // from one ConsumeBytes call, no transport round-trips in between.
   // Read-kind requests are held back as a run; any other frame answers
-  // the run first, so responses stay in request order.
+  // the run first, so responses stay in request order. Consecutive
+  // writes are applied inside one store write run; any other frame ends
+  // it first, so a later read sees every write before it.
   while (NextFrame(it->second.inbox, &offset, &payload, &frame_error)) {
     StatusOr<Request> request = DecodeRequestPayload(payload);
     if (request.ok() && IsReadKind(request.value().type)) {
+      EndWriteRun();
       read_run_.push_back(std::move(request).value());
       continue;
     }
     FlushReadRun(client_id, &it->second.outbox);
+    if (request.ok() && IsWriteKind(request.value().type)) {
+      if (!write_run_open_) {
+        store_->BeginWriteRun();
+        write_run_open_ = true;
+      }
+      SubmitResponseLocked(client_id, HandleWrite(request.value()));
+      continue;
+    }
+    EndWriteRun();
     if (request.ok()) {
       HandleRequestLocked(client_id, request.value());
     } else {
@@ -100,9 +112,18 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
           EncodeResponseFrame(ErrorResponse(type, request.status()));
     }
   }
+  // The run's WAL records reach the OS here, before the caller can send
+  // any of its acks.
+  EndWriteRun();
   FlushReadRun(client_id, &it->second.outbox);
   it->second.inbox.erase(0, offset);
   return frame_error;
+}
+
+void ServerCore::EndWriteRun() {
+  if (!write_run_open_) return;
+  store_->EndWriteRun();
+  write_run_open_ = false;
 }
 
 void ServerCore::FlushReadRun(uint64_t client_id, std::string* outbox) {
@@ -156,7 +177,7 @@ void ServerCore::HandleRequestLocked(uint64_t client_id,
     case MsgType::kInsert:
     case MsgType::kErase:
     case MsgType::kInsertBatch:
-      SubmitResponseLocked(client_id, HandleWrite(client_id, request));
+      SubmitResponseLocked(client_id, HandleWrite(request));
       return;
     case MsgType::kSubscribe:
       SubmitResponseLocked(client_id, HandleSubscribe(client_id, request));
@@ -250,9 +271,7 @@ std::vector<uint64_t> ServerCore::ClientsWithOutput() const {
   return ids;
 }
 
-Response ServerCore::HandleWrite(uint64_t client_id,
-                                 const Request& request) {
-  (void)client_id;
+Response ServerCore::HandleWrite(const Request& request) {
   Response response;
   response.type = ResponseTypeFor(request.type);
   if (request.type == MsgType::kInsertBatch) {

@@ -69,6 +69,17 @@ struct PreparedRead {
 /// notifications. Validation (finite, in-bounds) happens before apply so
 /// a durability append cannot fail after the structure changed; the
 /// response carries the backend's shared sequence.
+///
+/// Write runs: ConsumeBytes applies each run of consecutive write frames
+/// (insert / erase / insert-batch) between one StoreBackend
+/// BeginWriteRun/EndWriteRun pair, so the backend can share path copies,
+/// publish one version and flush its WAL once for the run. Each write is
+/// still validated, applied, matched and answered in request order with
+/// its own sequence, so the output bytes equal the per-write path's. Any
+/// other frame, a malformed payload or the end of the call ends the run
+/// first; EndWriteRun, and with it the run's WAL flush, always happens
+/// before ConsumeBytes returns, so no ack of the run reaches a socket
+/// ahead of its records. HandleRequest applies each write alone.
 class ServerCore {
  public:
   /// Serves an externally constructed storage engine (see store.h).
@@ -187,8 +198,9 @@ class ServerCore {
       const Request& request) REQUIRES(command_role_);
   void SubmitResponseLocked(uint64_t client_id, const Response& response)
       REQUIRES(command_role_);
-  Response HandleWrite(uint64_t client_id, const Request& request)
-      REQUIRES(command_role_);
+  Response HandleWrite(const Request& request) REQUIRES(command_role_);
+  /// Ends the store's open write run, if any (see ConsumeBytes).
+  void EndWriteRun() REQUIRES(command_role_);
   Response HandleSubscribe(uint64_t client_id, const Request& request)
       REQUIRES(command_role_);
   /// Appends one notification frame per subscription matching `p` (in
@@ -212,6 +224,9 @@ class ServerCore {
   /// Consecutive read-kind requests decoded by ConsumeBytes, not yet
   /// answered (see FlushReadRun).
   std::vector<Request> read_run_ GUARDED_BY(command_role_);
+  /// True between the store's BeginWriteRun and EndWriteRun, which one
+  /// ConsumeBytes call brackets around each run of consecutive writes.
+  bool write_run_open_ GUARDED_BY(command_role_) = false;
   const size_t read_threads_;
   /// Created on the first read run of two or more requests. Declared
   /// last so its workers are joined before anything else is destroyed.

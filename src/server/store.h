@@ -64,6 +64,17 @@ class StoreBackend {
   [[nodiscard]] virtual StatusOr<uint64_t> ApplyErase(
       const geo::Point2& p) = 0;
 
+  /// Bracket a write run: writes ServerCore applies back to back, with no
+  /// read or other request between them. Inside a run the backend may
+  /// share work across the writes (path copies, one published version,
+  /// one log flush); each write still returns its own sequence and
+  /// status. EndWriteRun leaves every write of the run visible to the
+  /// next PrepareRead and flushed to the OS, as a lone write is. The
+  /// defaults do nothing, so a backend that ignores them applies each
+  /// write alone.
+  virtual void BeginWriteRun() {}
+  virtual void EndWriteRun() {}
+
   /// Pins a read view. ResourceExhausted when all epoch reader slots
   /// are taken — the caller sheds load with an error response instead
   /// of crashing.

@@ -292,9 +292,12 @@ StatusOr<std::unique_ptr<ShardRouter>> ShardRouter::Open(
     auto shard = std::make_shared<Shard>(entry.range, domain, options.tree,
                                          last_sequence - points.size(),
                                          options.epoch_readers);
-    for (const geo::Point2& p : points) {
-      Status applied = shard->tree.Insert(p);
-      POPAN_CHECK(applied.ok()) << applied.ToString();
+    {
+      spatial::CowPrQuadtree::WriteRun run(&shard->tree);
+      for (const geo::Point2& p : points) {
+        Status applied = shard->tree.Insert(p);
+        POPAN_CHECK(applied.ok()) << applied.ToString();
+      }
     }
     shard->wal_file = entry.wal_file;
     shard->snapshot_file = entry.snapshot_file;
@@ -482,21 +485,27 @@ StatusOr<std::shared_ptr<ShardRouter::Shard>> ShardRouter::BuildShard(
   }
   // The WAL handoff: the fresh log IS the bulk load, one insert record
   // per surviving point in Morton order, so replaying it rebuilds this
-  // exact tree (canonical PR decomposition) with matching sequences.
-  for (const geo::Point2& p : points) {
-    Status applied = shard->tree.Insert(p);
-    POPAN_CHECK(applied.ok()) << "handoff point rejected: "
-                              << applied.ToString();
-    if (shard->wal != nullptr) {
-      StatusOr<uint64_t> logged = shard->wal->LogInsert(p);
-      POPAN_CHECK(logged.ok() && logged.value() == shard->tree.sequence())
-          << "handoff WAL fell out of step";
+  // exact tree (canonical PR decomposition) with matching sequences. One
+  // write run: shared path copies, and one flush of the whole log.
+  if (shard->wal != nullptr) shard->wal->BeginRun();
+  {
+    spatial::CowPrQuadtree::WriteRun run(&shard->tree);
+    for (const geo::Point2& p : points) {
+      Status applied = shard->tree.Insert(p);
+      POPAN_CHECK(applied.ok()) << "handoff point rejected: "
+                                << applied.ToString();
+      if (shard->wal != nullptr) {
+        StatusOr<uint64_t> logged = shard->wal->LogInsert(p);
+        POPAN_CHECK(logged.ok() && logged.value() == shard->tree.sequence())
+            << "handoff WAL fell out of step: " << logged.status().ToString();
+      }
     }
   }
-  if (shard->wal_stream != nullptr) {
-    shard->wal_stream->flush();
-    if (!shard->wal_stream->good()) {
-      return Status::Internal("short write to shard WAL " + shard->wal_file);
+  if (shard->wal != nullptr) {
+    Status flushed = shard->wal->EndRun();
+    if (!flushed.ok()) {
+      return Status::Internal("short write to shard WAL " + shard->wal_file +
+                              ": " + flushed.message());
     }
   }
   return shard;

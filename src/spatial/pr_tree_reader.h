@@ -28,7 +28,8 @@ namespace popan::spatial {
 
 /// One PR-tree node, shared by both trees and sized by the tree's
 /// capacity m when the tree is built: an 8-byte header (size, inline lane
-/// capacity, is_leaf) followed by ONE payload region, which holds
+/// capacity, is_leaf, the write-run mark) followed by ONE payload region,
+/// which holds
 ///   - the 2^D child handles, for an internal node;
 ///   - D inline coordinate lanes of lane_capacity() elements each (lane a
 ///     at payload + a * lane_capacity()), for a leaf of at most
@@ -113,6 +114,12 @@ class PrNode {
 
   /// Elements per lane the spill block holds (0 when inline).
   size_t spill_lanes() const { return spilled() ? spill().lanes : 0; }
+
+  /// The snapshot tree's mark for a node private to the open write run
+  /// (CowPrTree::BeginRun): a copy or fresh node no published version
+  /// reaches. Kept in the header's spare byte; CopyFrom leaves it alone.
+  bool run_private() const { return run_private_; }
+  void set_run_private(bool run_private) { run_private_ = run_private; }
 
   /// The contiguous lane for `axis` (size() readable elements).
   const double* lane(size_t axis) const {
@@ -236,6 +243,13 @@ class PrNode {
     POPAN_CHECK(false) << "not a child of this node";
   }
 
+  /// Moves a spilled leaf's points into a block of exactly size()
+  /// elements per lane, as CopyFrom would: the spill bytes a leaf holds
+  /// then do not depend on whether its last write copied it.
+  void TrimSpill(SpillBlocks& spills) {
+    if (spilled() && spill().lanes != size_) Regrow(size_, spills);
+  }
+
   /// Makes this fresh node (an empty leaf in a slot of the same size) a
   /// copy of `other`. A spilled leaf's copy gets a block of exactly
   /// size() elements per lane.
@@ -300,7 +314,12 @@ class PrNode {
   uint32_t size_ = 0;
   uint16_t lanes_;
   bool is_leaf_ = true;
+  bool run_private_ = false;
 };
+
+// The payload starts kHeaderBytes past the node, so the members must fit.
+static_assert(sizeof(PrNode<2, const void*>) ==
+              PrNode<2, const void*>::kHeaderBytes);
 
 /// The read side of a PR tree, written once for both trees (CRTP):
 /// PrTree (arena indices, mutable) and SnapshotView (pointers into an

@@ -39,7 +39,8 @@ namespace popan::spatial {
 /// CopyPath runs only once the operation is known to succeed. From then
 /// on the writer writes only to the recorded path and to NewNode's nodes.
 /// PrTree mutates its pooled slots in place (CopyPath and Publish do
-/// nothing); CowPrTree copies the path, so no node a published version
+/// nothing); CowPrTree copies the path (inside a write run, only the
+/// part the run has not copied yet), so no node a published version
 /// reaches is ever written.
 template <typename Derived, typename Node>
 class PrTreeWriter {

@@ -57,6 +57,15 @@ static_assert(sizeof(void*) != 8 ||
 /// chunks never move; retired nodes go back to it through the limbo.
 /// The new root is published inside a new immutable Version with one
 /// atomic store; a failed operation copies and publishes nothing.
+///
+/// Write runs (BeginRun .. EndRun) share that work across consecutive
+/// operations. A node copied or made during the run is private to it
+/// (marked in its header): later operations of the run write it in
+/// place and copy only the nodes of their path that are not yet private.
+/// Every private node's parent is private, so the private nodes on any
+/// descent path are a prefix of it. The run publishes one Version per
+/// kMaxRunOps successful operations and one at EndRun, each carrying
+/// the sequence, size and census of every operation before it.
 /// Readers pin an epoch and load the version head (SnapshotView); from
 /// then on they traverse a frozen tree that no writer will ever touch, so
 /// queries never block and never see a torn state. Replaced nodes and
@@ -69,11 +78,11 @@ static_assert(sizeof(void*) != 8 ||
 /// bitwise identical to a stop-the-world census of the same prefix of
 /// operations — the storm tests' core assertion.
 ///
-/// Threading contract: Insert/Erase, the writer-side accessors (size,
-/// LeafCount, LiveCensus, sequence), CheckInvariants and the destructor
-/// on the single writer thread; Snapshot() and everything on SnapshotView
-/// from any thread. The tree must outlive every SnapshotView taken from
-/// it.
+/// Threading contract: Insert/Erase, BeginRun/EndRun, the writer-side
+/// accessors (size, LeafCount, LiveCensus, sequence), CheckInvariants and
+/// the destructor on the single writer thread; Snapshot() and everything
+/// on SnapshotView from any thread. The tree must outlive every
+/// SnapshotView taken from it.
 template <size_t D>
 class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
  public:
@@ -93,16 +102,19 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
       : bounds_(bounds),
         options_(options),
         pool_(Node::SlotBytes(options.capacity)),
-        epochs_(epoch_readers) {
+        epochs_(epoch_readers),
+        sequence_(initial_sequence) {
     POPAN_CHECK(options_.capacity >= 1) << "capacity must be at least 1";
+    root_ = NewNode();
     Version* v = new Version;
-    v->root = NewNode();
+    v->root = root_;
     v->sequence = initial_sequence;
     v->hist = this->live_hist_;
     head_.store(v, std::memory_order_seq_cst);
   }
 
   ~CowPrTree() {
+    POPAN_DCHECK(!in_run_) << "tree destroyed inside a write run";
     const Version* v = head_.load(std::memory_order_relaxed);
     this->ReleaseSpills(v->root);
     delete v;
@@ -117,11 +129,45 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   size_t capacity() const { return options_.capacity; }
   size_t max_depth() const { return options_.max_depth; }
 
-  /// Sequence number of the newest version: successful Insert/Erase
-  /// calls since `initial_sequence`.
-  uint64_t sequence() const {
-    return head_.load(std::memory_order_relaxed)->sequence;
+  /// Successful Insert/Erase calls since `initial_sequence`, counted as
+  /// they land: inside a write run it runs ahead of the newest version.
+  /// Writer thread only, like size() and LiveCensus().
+  uint64_t sequence() const { return sequence_; }
+
+  /// Successful operations a write run applies before it publishes a
+  /// Version mid-run. The nodes the run replaces wait in the epoch limbo
+  /// until it publishes, and the pool never shrinks, so this bounds the
+  /// pool growth a long run (a 4096-point batch) can cause to about one
+  /// union of 64 paths.
+  static constexpr size_t kMaxRunOps = 64;
+
+  /// Opens a write run (writer thread; see the class comment). Until
+  /// EndRun, operations land in the writer's tree but reach snapshots
+  /// only at the run's publishes.
+  void BeginRun() {
+    POPAN_DCHECK(!in_run_) << "write runs do not nest";
+    in_run_ = true;
   }
+
+  /// Publishes the run's unpublished operations as one Version, if it
+  /// has any, and closes the run.
+  void EndRun() {
+    POPAN_DCHECK(in_run_) << "EndRun without BeginRun";
+    PublishRun();
+    in_run_ = false;
+  }
+
+  /// Scoped BeginRun/EndRun.
+  class WriteRun {
+   public:
+    explicit WriteRun(CowPrTree* tree) : tree_(tree) { tree_->BeginRun(); }
+    ~WriteRun() { tree_->EndRun(); }
+    WriteRun(const WriteRun&) = delete;
+    WriteRun& operator=(const WriteRun&) = delete;
+
+   private:
+    CowPrTree* tree_;
+  };
 
   /// The reclamation machinery, exposed for storm harnesses and benches
   /// (counters from any thread; Retire/Advance/Reclaim writer-only).
@@ -184,19 +230,24 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
 
   // ---- Node lifecycle (see PrTreeWriter): path copies, epoch retire --
 
-  const Node* Root() const {
-    return head_.load(std::memory_order_relaxed)->root;
-  }
+  /// The writer's root: the newest version's, or the open run's.
+  const Node* Root() const { return root_; }
   static const Node& NodeAt(const Node* node) { return *node; }
   /// The writer only asks for this operation's path copies and the nodes
   /// NewNode made, which no published version reaches.
   static Node& MutableNodeAt(const Node* node) {
     return const_cast<Node&>(*node);
   }
-  Node* NewNode() { return ::new (pool_.Allocate()) Node(pool_.slot_bytes()); }
+  Node* NewNode() {
+    Node* node = ::new (pool_.Allocate()) Node(pool_.slot_bytes());
+    node->set_run_private(in_run_);
+    return node;
+  }
+  /// Path copies and run-private nodes were never published: their slots
+  /// go back to the pool at once. Anything else may be pinned.
   void FreeNode(const Node* node, bool on_path) {
-    if (on_path) {
-      ReclaimNode(const_cast<Node*>(node), &pool_);  // never published
+    if (on_path || node->run_private()) {
+      ReclaimNode(const_cast<Node*>(node), &pool_);
     } else {
       Retire(node);
     }
@@ -216,37 +267,88 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
     nodes->Free(node);
   }
 
-  /// Replaces every node of the descent path with a copy from the pool,
+  /// Replaces every node of the descent path that is not private to the
+  /// open run (all of them outside a run) with a copy from the pool,
   /// linked into its parent's copy in place of the original, and retires
-  /// the originals. Leaf first: copying top-down instead slowed the
+  /// the originals. The top copy links into its private parent in place,
+  /// or becomes the root. Leaf first: copying top-down instead slowed the
   /// 2^20-insert preload of perfbench's range_scan by ~10% (4-core x86 VM,
   /// gcc 12), through the reuse order of the retired path.
   /// Retiring ahead of the head store is safe: nothing tagged with the
   /// current epoch is reclaimed until Publish has stored the new head and
   /// advanced the epoch.
   void CopyPath(std::span<const Node*> path) {
+    size_t top = 0;  // the first node on the path not private to the run
+    while (top < path.size() && path[top]->run_private()) ++top;
+    if (top == path.size()) {
+      // A write to a private leaf: trim its spill block as a copy would,
+      // so the bytes it holds match the per-op path's.
+      MutableNodeAt(path.back()).TrimSpill(pool_.spills());
+      return;
+    }
     Node* child = nullptr;
     const Node* original = nullptr;
     for (size_t i = path.size(); i-- > 0;) {
-      Node* copy = NewNode();
-      copy->CopyFrom(*path[i], pool_.spills());
-      Retire(path[i]);
-      if (child != nullptr) copy->ReplaceChild(original, child);
+      // Below `top` a copy; at top - 1 the private parent the top copy
+      // links into. (One loop for both: gcc 12 -O3 reports a false
+      // -Wstringop-overflow on a separate ReplaceChild into the parent.)
+      const bool copied = i >= top;
+      Node* node = copied ? NewNode() : &MutableNodeAt(path[i]);
+      if (copied) {
+        node->CopyFrom(*path[i], pool_.spills());
+        Retire(path[i]);
+      }
+      if (child != nullptr) node->ReplaceChild(original, child);
+      if (!copied) return;
       original = path[i];
-      path[i] = copy;
-      child = copy;
+      path[i] = node;
+      child = node;
     }
   }
 
-  /// Publishes `new_root` as the next version and retires the old one.
-  /// One epoch advance + reclaim attempt per publish keeps the limbo list
-  /// short and the reclamation counters a pure function of the operation
-  /// trace when no readers are pinned.
+  /// The operation that made `new_root` the writer's root succeeded:
+  /// publishes it as the next version, or inside a run counts it toward
+  /// the run's next publish.
   void Publish(const Node* new_root) {
+    root_ = new_root;
+    ++sequence_;
+    if (!in_run_) {
+      PublishVersion();
+    } else if (++run_ops_ == kMaxRunOps) {
+      PublishRun();
+    }
+  }
+
+  /// Publishes the run's operations so far, if any: clears the private
+  /// marks (before the head store, so no reader ever shares a node the
+  /// writer still writes) and publishes one Version.
+  void PublishRun() {
+    if (run_ops_ == 0) return;
+    run_ops_ = 0;
+    std::vector<Node*>& stack = mark_stack_;
+    stack.assign(1, &MutableNodeAt(root_));
+    while (!stack.empty()) {
+      Node* node = stack.back();
+      stack.pop_back();
+      node->set_run_private(false);
+      if (node->is_leaf()) continue;
+      for (size_t q = 0; q < kFanout; ++q) {
+        const Node* c = node->child(q);
+        if (c->run_private()) stack.push_back(&MutableNodeAt(c));
+      }
+    }
+    PublishVersion();
+  }
+
+  /// Publishes the writer's root as the next version and retires the old
+  /// one. One epoch advance + reclaim attempt per publish keeps the limbo
+  /// list short and the reclamation counters a pure function of the
+  /// operation trace when no readers are pinned.
+  void PublishVersion() {
     const Version* old = head_.load(std::memory_order_relaxed);
     Version* v = new Version;
-    v->root = new_root;
-    v->sequence = old->sequence + 1;
+    v->root = root_;
+    v->sequence = sequence_;
     v->size = this->size_;
     v->leaf_count = this->leaf_count_;
     v->hist = this->live_hist_;
@@ -263,6 +365,12 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   NodePool<void*> pool_;
   mutable EpochManager epochs_;
   std::atomic<const Version*> head_{nullptr};
+  // Writer state.
+  const Node* root_ = nullptr;
+  uint64_t sequence_;
+  bool in_run_ = false;
+  size_t run_ops_ = 0;  ///< the open run's operations not yet published
+  std::vector<Node*> mark_stack_;
 };
 
 /// A pinned, frozen view of one CowPrTree version: the reader-side handle.

@@ -1,5 +1,6 @@
 #include "spatial/wal.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -57,6 +58,30 @@ struct WalHeader {
       geo::Box2(geo::Point2(lox, loy), geo::Point2(hix, hiy));
   header.bytes = consumed;
   return header;
+}
+
+/// Room FormatRecord needs: four numbers of at most kRoom characters
+/// (`%.17g` takes at most 24, a u64 20) and five separators.
+constexpr size_t kRoom = 32;
+constexpr size_t kRecordRoom = 4 * kRoom + 5;
+
+/// Renders one record line into `out` (kRecordRoom bytes) and returns its
+/// end. Coordinates print as `ostream << setprecision(17)` prints them
+/// (`%.17g`), so logs keep their bytes.
+char* FormatRecord(char* out, uint64_t seq, char op, const geo::Point2& p) {
+  out = std::to_chars(out, out + kRoom, seq).ptr;
+  *out++ = ' ';
+  *out++ = op;
+  for (double v : {p.x(), p.y()}) {
+    *out++ = ' ';
+    out = std::to_chars(out, out + kRoom, v, std::chars_format::general, 17)
+              .ptr;
+  }
+  *out++ = ' ';
+  out = std::to_chars(out, out + kRoom, WalChecksum(seq, op, p.x(), p.y()))
+            .ptr;
+  *out++ = '\n';
+  return out;
 }
 
 /// The shared replay core: applies intact records on top of `recovery`'s
@@ -169,11 +194,30 @@ StatusOr<uint64_t> WalWriter::Append(char op, const geo::Point2& p) {
                               " outside the logged bounds");
   }
   uint64_t seq = next_sequence_++;
-  StreamFormatGuard guard(out_);
-  *out_ << seq << " " << op << " " << std::setprecision(17) << p.x() << " "
-        << p.y() << " " << WalChecksum(seq, op, p.x(), p.y()) << "\n";
-  out_->flush();
+  char line[kRecordRoom];
+  out_->write(line, FormatRecord(line, seq, op, p) - line);
+  if (!in_run_) out_->flush();
+  if (!out_->good()) {
+    return Status::Internal("WAL record " + std::to_string(seq) +
+                            " did not reach the log stream");
+  }
   return seq;
+}
+
+void WalWriter::BeginRun() {
+  POPAN_DCHECK(!in_run_) << "WAL write runs do not nest";
+  in_run_ = true;
+}
+
+Status WalWriter::EndRun() {
+  POPAN_DCHECK(in_run_) << "EndRun without BeginRun";
+  in_run_ = false;
+  out_->flush();
+  if (!out_->good()) {
+    return Status::Internal("WAL flush failed before record " +
+                            std::to_string(next_sequence_));
+  }
+  return Status::OK();
 }
 
 StatusOr<uint64_t> WalWriter::LogInsert(const geo::Point2& p) {

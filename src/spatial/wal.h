@@ -35,7 +35,14 @@ namespace popan::spatial {
 /// tail records are detected and recovery stops at the last intact one —
 /// replay never applies garbage. The writer validates records at append
 /// time (finite, in-bounds coordinates), so it never logs a record the
-/// reader would reject.
+/// reader would reject. Coordinates print as `%.17g`, which round-trips
+/// every double.
+///
+/// Each record is flushed to the OS as it is appended, except inside a
+/// write run (BeginRun .. EndRun): there the records collect in the
+/// stream's buffer and EndRun flushes them together. A record, or a
+/// run's flush, that the stream fails to take is an error (Internal): the
+/// caller must treat the log as lost from that record on and stop.
 class WalWriter {
  public:
   /// Tag for the resume constructor below.
@@ -60,11 +67,20 @@ class WalWriter {
   /// Appends an insert record; returns the sequence number assigned.
   /// Fails (InvalidArgument / OutOfRange) without writing anything when
   /// the point is non-finite or outside the logged bounds — such a record
-  /// would truncate replay at recovery time.
+  /// would truncate replay at recovery time — and with Internal when the
+  /// stream fails to take the record.
   [[nodiscard]] StatusOr<uint64_t> LogInsert(const geo::Point2& p);
 
-  /// Appends an erase record, with the same append-time validation.
+  /// Appends an erase record, with the same validation and errors.
   [[nodiscard]] StatusOr<uint64_t> LogErase(const geo::Point2& p);
+
+  /// Opens a write run: records appended until EndRun are not flushed
+  /// one by one.
+  void BeginRun();
+
+  /// Flushes the run's records to the OS and closes the run. Internal
+  /// when the stream fails.
+  [[nodiscard]] Status EndRun();
 
   /// Sequence number of the next record.
   uint64_t next_sequence() const { return next_sequence_; }
@@ -75,6 +91,7 @@ class WalWriter {
   std::ostream* out_;
   geo::Box2 bounds_;
   uint64_t next_sequence_ = 1;
+  bool in_run_ = false;
 };
 
 /// The result of a recovery.

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -25,6 +27,7 @@
 #include "sim/thread_pool.h"
 #include "spatial/pr_tree.h"
 #include "spatial/wal.h"
+#include "testing/rejecting_streambuf.h"
 #include "testing/statusor_testing.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -478,15 +481,24 @@ Box2 RandomBox(Pcg32* rng, double max_side) {
                          std::min(1.0, lo.y() + max_side * rng->NextDouble())));
 }
 
+/// How a burst draws its frames.
+enum class Mix { kReadHeavy, kWriteHeavy, kEven };
+
 /// One seeded request frame. Read-heavy bursts draw reads 80% of the
-/// time, so runs of consecutive reads are common; otherwise every kind
-/// is drawn: writes (single, 8-point batch, erase of an earlier point),
+/// time and write-heavy bursts draw writes 80% of the time, so runs of
+/// consecutive reads and of consecutive writes are common; otherwise
+/// every kind is drawn: writes (single, some out of bounds; 8-point
+/// batch, some with a NaN point; erase of an earlier point),
 /// subscription control, pings, and malformed payloads (a truncated
 /// range body, which reads as a read type, and an unknown type).
-std::string RandomFrame(Pcg32* rng, bool read_heavy,
-                        std::vector<Point2>* written, uint64_t* subscribes) {
+std::string RandomFrame(Pcg32* rng, Mix mix, std::vector<Point2>* written,
+                        uint64_t* subscribes) {
   uint32_t roll = rng->NextBounded(100);
-  if (read_heavy && rng->NextBounded(10) < 8) roll = rng->NextBounded(50);
+  if (mix == Mix::kReadHeavy && rng->NextBounded(10) < 8) {
+    roll = rng->NextBounded(50);
+  } else if (mix == Mix::kWriteHeavy && rng->NextBounded(10) < 8) {
+    roll = 50 + rng->NextBounded(28);
+  }
   Request r;
   if (roll < 25) {
     r.type = MsgType::kRange;
@@ -504,12 +516,16 @@ std::string RandomFrame(Pcg32* rng, bool read_heavy,
   } else if (roll < 64) {
     r.type = MsgType::kInsert;
     r.point = RandomPoint(rng);
+    if (roll == 63) r.point[0] += 1.0;  // out of bounds: OutOfRange
     written->push_back(r.point);
   } else if (roll < 69) {
     r.type = MsgType::kInsertBatch;
     for (int i = 0; i < 8; ++i) {
       r.batch.push_back(RandomPoint(rng));
       written->push_back(r.batch.back());
+    }
+    if (roll == 68) {
+      r.batch.push_back(Point2(std::numeric_limits<double>::quiet_NaN(), 0.5));
     }
   } else if (roll < 78) {
     // Erase an earlier point; it may already be gone (NotFound).
@@ -542,10 +558,12 @@ std::string RandomFrame(Pcg32* rng, bool read_heavy,
 
 /// Drives `core` with `bursts` seeded pipelined bursts spread over
 /// `clients` clients. Each burst reaches the core in two ConsumeBytes
-/// calls cut at a random byte offset. Returns every client's output
-/// bytes, concatenated in the order the client could read them.
+/// calls cut at a random byte offset, or with `frame_per_call` in one
+/// call per frame. Returns every client's output bytes, concatenated in
+/// the order the client could read them.
 std::vector<std::string> RunBursts(ServerCore* core, uint64_t seed,
-                                   size_t clients, size_t bursts) {
+                                   size_t clients, size_t bursts,
+                                   bool frame_per_call = false) {
   Pcg32 rng(seed);
   std::vector<uint64_t> ids;
   for (size_t c = 0; c < clients; ++c) ids.push_back(core->OpenClient());
@@ -554,14 +572,22 @@ std::vector<std::string> RunBursts(ServerCore* core, uint64_t seed,
   uint64_t subscribes = 0;
   for (size_t b = 0; b < bursts; ++b) {
     size_t c = rng.NextBounded(static_cast<uint32_t>(clients));
-    bool read_heavy = rng.NextBounded(2) == 0;
+    Mix mix = static_cast<Mix>(rng.NextBounded(3));
+    std::vector<std::string> frames;
     std::string burst;
     for (uint32_t n = 1 + rng.NextBounded(24); n > 0; --n) {
-      burst += RandomFrame(&rng, read_heavy, &written, &subscribes);
+      frames.push_back(RandomFrame(&rng, mix, &written, &subscribes));
+      burst += frames.back();
     }
     size_t cut = rng.NextBounded(static_cast<uint32_t>(burst.size() + 1));
-    EXPECT_TRUE(core->ConsumeBytes(ids[c], burst.substr(0, cut)).ok());
-    EXPECT_TRUE(core->ConsumeBytes(ids[c], burst.substr(cut)).ok());
+    if (frame_per_call) {
+      for (const std::string& frame : frames) {
+        EXPECT_TRUE(core->ConsumeBytes(ids[c], frame).ok());
+      }
+    } else {
+      EXPECT_TRUE(core->ConsumeBytes(ids[c], burst.substr(0, cut)).ok());
+      EXPECT_TRUE(core->ConsumeBytes(ids[c], burst.substr(cut)).ok());
+    }
     for (size_t k = 0; k < clients; ++k) out[k] += core->TakeOutput(ids[k]);
   }
   return out;
@@ -701,6 +727,194 @@ TEST(ServerCoreTest, ReadThreadsStartOnlyForARunOfReads) {
           .ok());
   EXPECT_EQ(DrainFrames(&core, client).size(), 2u);
   EXPECT_GE(ThreadCount(), before + 3);
+}
+
+// --- Write runs ----------------------------------------------------------
+
+/// Client outputs and WAL bytes of one seeded RunBursts drive.
+struct Transcript {
+  std::vector<std::string> out;
+  std::string wal;
+};
+
+Transcript DriveWithWal(uint64_t seed, size_t threads, bool frame_per_call) {
+  std::ostringstream log;
+  spatial::WalWriter wal(&log, UnitDomain(), SmallTree());
+  Transcript transcript;
+  {
+    ServerCore core(
+        std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree(), &wal),
+        threads);
+    transcript.out = RunBursts(&core, seed, 3, 60, frame_per_call);
+  }
+  transcript.wal = log.str();
+  return transcript;
+}
+
+TEST(ServerCoreTest, WriteRunsMatchPerFrameBytes) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    // One frame per call: every write is a run of one.
+    const Transcript per_frame = DriveWithWal(seed, 0, true);
+    spatial::WalRecovery replayed =
+        ValueOrDie(spatial::ReplayWal(per_frame.wal));
+    EXPECT_FALSE(replayed.truncated_tail) << replayed.truncation_reason;
+    EXPECT_GT(replayed.records_applied, 100u) << "seed " << seed;
+    for (size_t threads : {0, 1, 3}) {
+      for (bool frame_per_call : {false, true}) {
+        if (threads == 0 && frame_per_call) continue;
+        const Transcript got = DriveWithWal(seed, threads, frame_per_call);
+        EXPECT_TRUE(got.wal == per_frame.wal)
+            << "seed " << seed << " threads " << threads;
+        for (size_t c = 0; c < per_frame.out.size(); ++c) {
+          EXPECT_TRUE(got.out[c] == per_frame.out[c])
+              << "seed " << seed << " threads " << threads << " client " << c
+              << (frame_per_call ? " frame per call" : " bursts");
+        }
+      }
+    }
+  }
+}
+
+/// Every file under `dir`, by name.
+std::map<std::string, std::string> FilesIn(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[entry.path().filename().string()] = bytes.str();
+  }
+  return files;
+}
+
+TEST(ServerCoreTest, ShardedWriteRunsMatchPerFrameBytes) {
+  shard::RouterOptions options;
+  options.tree = SmallTree();
+  options.rebalance.enabled = true;
+  options.rebalance.split_cost = 3.0;
+  options.rebalance.merge_cost = 1.0;
+  options.rebalance.min_split_points = 16;
+  options.rebalance.check_interval = 8;
+  options.rebalance.max_shards = 16;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    std::vector<std::string> want_out;
+    std::map<std::string, std::string> want_files;
+    for (size_t threads : {0, 3}) {
+      for (bool frame_per_call : {true, false}) {
+        const std::string dir = ::testing::TempDir() + "/popan_write_runs_" +
+                                std::to_string(seed) + "_" +
+                                std::to_string(threads) +
+                                (frame_per_call ? "_frames" : "_bursts");
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        std::vector<std::string> out;
+        {
+          std::unique_ptr<shard::ShardRouter> router =
+              ValueOrDie(shard::ShardRouter::Open(dir, UnitDomain(), options));
+          shard::ShardRouter* raw = router.get();
+          ServerCore core(
+              std::make_unique<ShardStoreBackend>(std::move(router)), threads);
+          out = RunBursts(&core, seed, 3, 60, frame_per_call);
+          EXPECT_GT(raw->splits(), 0u) << "seed " << seed;
+        }
+        std::map<std::string, std::string> files = FilesIn(dir);
+        std::filesystem::remove_all(dir);
+        if (want_out.empty()) {
+          want_out = std::move(out);
+          want_files = std::move(files);
+          continue;
+        }
+        EXPECT_TRUE(out == want_out) << "seed " << seed << " threads "
+                                     << threads;
+        EXPECT_TRUE(files == want_files) << "seed " << seed << " threads "
+                                         << threads;
+      }
+    }
+  }
+}
+
+TEST(ServerCoreTest, WriteRunPublishesOncePerRun) {
+  // ingest_wal's shape: calls of 32 writes, 33.5% inserts, 1% 32-point
+  // batches and 65.5% erases of live points.
+  auto backend = std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree());
+  const spatial::EpochManager& epochs = backend->tree().epochs();
+  ServerCore core(std::move(backend));
+  uint64_t client = core.OpenClient();
+  Pcg32 rng(19);
+  std::vector<Point2> live;
+  Request preload;
+  preload.type = MsgType::kInsertBatch;
+  for (int i = 0; i < 4096; ++i) {
+    preload.batch.push_back(RandomPoint(&rng));
+    live.push_back(preload.batch.back());
+  }
+  ASSERT_TRUE(core.ConsumeBytes(client, Frame(preload)).ok());
+  (void)DrainFrames(&core, client);
+  const uint64_t versions = epochs.epochs_advanced();
+  size_t writes = 0;
+  for (int call = 0; call < 200; ++call) {
+    std::string burst;
+    for (int i = 0; i < 32; ++i, ++writes) {
+      const uint32_t roll = rng.NextBounded(1000);
+      Request r;
+      if (roll < 10) {
+        r.type = MsgType::kInsertBatch;
+        for (int k = 0; k < 32; ++k) {
+          r.batch.push_back(RandomPoint(&rng));
+          live.push_back(r.batch.back());
+        }
+      } else if (roll < 345 || live.empty()) {
+        r = Insert(rng.NextDouble(), rng.NextDouble());
+        live.push_back(r.point);
+      } else {
+        const size_t victim =
+            rng.NextBounded(static_cast<uint32_t>(live.size()));
+        r.type = MsgType::kErase;
+        r.point = live[victim];
+        live[victim] = live.back();
+        live.pop_back();
+      }
+      burst += Frame(r);
+    }
+    ASSERT_TRUE(core.ConsumeBytes(client, burst).ok());
+    for (const OutFrame& frame : DrainFrames(&core, client)) {
+      EXPECT_EQ(frame.response.status, 0);
+    }
+  }
+  EXPECT_EQ(core.size(), live.size());
+  EXPECT_LE((epochs.epochs_advanced() - versions) * 8, writes);
+}
+
+TEST(ServerCoreDeathTest, FailedWalWriteStopsTheServer) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Per op: the record's own flush fails.
+  EXPECT_DEATH(
+      {
+        RejectingStreambuf buf;
+        std::ostream out(&buf);
+        spatial::WalWriter wal(&out, UnitDomain(), SmallTree());
+        CowTreeBackend backend(UnitDomain(), SmallTree(), &wal);
+        (void)backend.ApplyInsert(Point2(0.1, 0.1));
+        buf.rejecting = true;
+        (void)backend.ApplyInsert(Point2(0.2, 0.2));
+      },
+      "WAL append failed");
+  // In a run: the records wait in the buffer and the run's flush fails,
+  // before ConsumeBytes returns with the acks.
+  EXPECT_DEATH(
+      {
+        RejectingStreambuf buf;
+        std::ostream out(&buf);
+        spatial::WalWriter wal(&out, UnitDomain(), SmallTree());
+        ServerCore core(
+            std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree(), &wal));
+        uint64_t client = core.OpenClient();
+        (void)core.ConsumeBytes(client, Frame(Insert(0.1, 0.1)));
+        buf.rejecting = true;
+        (void)core.ConsumeBytes(
+            client, Frame(Insert(0.2, 0.2)) + Frame(Insert(0.3, 0.3)));
+      },
+      "WAL flush failed");
 }
 
 }  // namespace

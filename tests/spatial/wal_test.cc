@@ -1,6 +1,8 @@
 #include "spatial/wal.h"
 
+#include <bit>
 #include <cmath>
+#include <iomanip>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -10,6 +12,7 @@
 
 #include "util/random.h"
 
+#include "testing/rejecting_streambuf.h"
 #include "testing/statusor_testing.h"
 
 namespace popan::spatial {
@@ -409,6 +412,129 @@ TEST(WalTest, WriterDoesNotLeakStreamFormatting) {
   std::ostringstream expect;
   expect << 1.0 / 3.0;
   EXPECT_EQ(log.str().substr(before), expect.str());
+}
+
+// --- Record formatting, write runs, failed streams ------------------------
+
+/// How records were rendered before the writer formatted them with
+/// std::to_chars: `ostream << setprecision(17)`, kept as the reference the
+/// new bytes must equal.
+std::string StreamRendering(uint64_t seq, char op, double x, double y) {
+  std::ostringstream out;  // a fresh stream: no format state leaks
+  // popan-lint: allow(stream-format-guard)
+  out << seq << " " << op << " " << std::setprecision(17) << x << " " << y
+      << " " << WalChecksum(seq, op, x, y) << "\n";
+  return out.str();
+}
+
+/// perfbench's tag coding: an owner and a serial in the low 28 mantissa
+/// bits.
+double TagCoord(double x, uint32_t owner, uint32_t serial) {
+  constexpr uint64_t kMask = (uint64_t{1} << 28) - 1;
+  uint64_t bits = std::bit_cast<uint64_t>(x);
+  bits = (bits & ~kMask) | (uint64_t{owner} << 24) | serial;
+  return std::bit_cast<double>(bits);
+}
+
+TEST(WalFormatTest, RecordsMatchTheStreamRendering) {
+  const std::vector<double> specials = {
+      0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 2.2250738585072009e-308,
+      std::numeric_limits<double>::min(), 1e-310, 0.1, 1.0 / 3.0,
+      1.0 - 0x1.0p-53, 1e-05, -1e-05, 1e+16, -1e+16, 123456789012345680.0,
+      0.5, 1e-4, 9.999999999999999e-05, 1e15, 0.30000000000000004};
+  std::vector<Point2> points;
+  for (double x : specials) {
+    for (double y : {0.0, x, -0.25}) points.emplace_back(x, y);
+  }
+  Pcg32 rng(1987);
+  for (int i = 0; i < 4000; ++i) {
+    const int exponent = static_cast<int>(rng.NextBounded(36)) - 20;
+    points.emplace_back((rng.NextDouble() - 0.5) * std::pow(10.0, exponent),
+                        rng.NextDouble());
+    const uint32_t owner = rng.NextBounded(16);
+    const uint32_t serial = rng.NextBounded(1u << 24);
+    points.emplace_back(TagCoord(rng.NextDouble(), owner, serial),
+                        TagCoord(rng.NextDouble(), 15, i));
+  }
+  const Box2 bounds(Point2(-1e18, -1e18), Point2(1e18, 1e18));
+  std::ostringstream log;
+  WalWriter writer(&log, bounds, SmallOptions());
+  std::vector<std::string> want;
+  for (size_t i = 0; i < points.size(); ++i) {
+    const Point2& p = points[i];
+    const char op = i % 3 == 2 ? 'E' : 'I';
+    StatusOr<uint64_t> seq =
+        op == 'I' ? writer.LogInsert(p) : writer.LogErase(p);
+    ASSERT_TRUE(seq.ok()) << p.ToString();
+    want.push_back(StreamRendering(seq.value(), op, p.x(), p.y()));
+  }
+  std::istringstream got(log.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(got, line));  // the header
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_TRUE(std::getline(got, line));
+    EXPECT_EQ(line + "\n", want[i]) << "record " << i;
+  }
+  EXPECT_FALSE(std::getline(got, line));
+}
+
+/// A string stream that counts flushes.
+class CountingBuf : public std::stringbuf {
+ public:
+  int syncs = 0;
+
+ protected:
+  int sync() override {
+    ++syncs;
+    return std::stringbuf::sync();
+  }
+};
+
+TEST(WalFormatTest, RunFlushesOnceWithTheSameBytes) {
+  CountingBuf per_op_buf;
+  CountingBuf run_buf;
+  std::ostream per_op_out(&per_op_buf);
+  std::ostream run_out(&run_buf);
+  WalWriter per_op(&per_op_out, Box2::UnitCube(), SmallOptions());
+  WalWriter run(&run_out, Box2::UnitCube(), SmallOptions());
+  Pcg32 rng(5);
+  const int before = run_buf.syncs;
+  run.BeginRun();
+  for (int i = 0; i < 100; ++i) {
+    Point2 p(rng.NextDouble(), rng.NextDouble());
+    ASSERT_EQ(ValueOrDie(per_op.LogInsert(p)), ValueOrDie(run.LogInsert(p)));
+  }
+  EXPECT_EQ(run_buf.syncs, before);
+  ASSERT_TRUE(run.EndRun().ok());
+  EXPECT_EQ(run_buf.syncs, before + 1);
+  EXPECT_GE(per_op_buf.syncs, 100);
+  EXPECT_EQ(run_buf.str(), per_op_buf.str());
+  // Outside a run every record is flushed again.
+  ASSERT_TRUE(run.LogErase(Point2(0.5, 0.5)).ok());
+  EXPECT_EQ(run_buf.syncs, before + 2);
+}
+
+TEST(WalFormatTest, FailedStreamIsAnError) {
+  RejectingStreambuf buf;
+  std::ostream out(&buf);
+  WalWriter writer(&out, Box2::UnitCube(), SmallOptions());
+  ASSERT_TRUE(writer.LogInsert(Point2(0.1, 0.1)).ok());
+  buf.rejecting = true;
+  StatusOr<uint64_t> lost = writer.LogInsert(Point2(0.2, 0.2));
+  EXPECT_EQ(lost.status().code(), StatusCode::kInternal);
+}
+
+TEST(WalFormatTest, FailedRunFlushIsAnError) {
+  RejectingStreambuf buf;
+  std::ostream out(&buf);
+  WalWriter writer(&out, Box2::UnitCube(), SmallOptions());
+  writer.BeginRun();
+  ASSERT_TRUE(writer.LogInsert(Point2(0.1, 0.1)).ok());
+  buf.rejecting = true;
+  // The record sits in the buffer; the run's flush is what fails.
+  ASSERT_TRUE(writer.LogInsert(Point2(0.2, 0.2)).ok());
+  EXPECT_EQ(writer.EndRun().code(), StatusCode::kInternal);
 }
 
 }  // namespace
