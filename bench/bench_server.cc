@@ -1,12 +1,11 @@
 // Query-server bench: the seeded traffic simulator driven end to end
-// (wire encode -> ServerCore -> snapshot reads on a worker pool ->
-// notifications) at several client scales. Every transcript field is a
-// pure function of (seed, config), so the checksums and final state are
-// gated exactly against bench/results/BENCH_server.json; requests/s is
-// reported ungated.
+// (wire encode -> ServerCore::ConsumeBytes -> snapshot reads and writes
+// -> notifications) at several client scales. Every transcript field is
+// a pure function of (seed, config), so the checksums and final state
+// are gated exactly against bench/results/BENCH_server.json;
+// requests/s is reported ungated.
 //
 //   POPAN_SERVER_STEPS    requests per client     (default 256)
-//   POPAN_SERVER_THREADS  reader threads          (default 4)
 
 #include <cstdint>
 #include <cstdio>
@@ -43,17 +42,14 @@ size_t EnvOr(const char* name, size_t fallback) {
 
 int main() {
   const size_t kSteps = EnvOr("POPAN_SERVER_STEPS", 256);
-  const size_t kThreads = EnvOr("POPAN_SERVER_THREADS", 4);
   const uint64_t kSeed = 1987;
   const std::vector<size_t> kClients = {1, 4, 16};
 
-  std::printf("Server traffic bench: %zu steps/client, %zu reader "
-              "threads, seed %llu\n\n",
-              kSteps, kThreads, static_cast<unsigned long long>(kSeed));
+  std::printf("Server traffic bench: %zu steps/client, seed %llu\n\n",
+              kSteps, static_cast<unsigned long long>(kSeed));
 
   BenchJson json("server");
-  json.Add("steps_per_client", static_cast<uint64_t>(kSteps))
-      .Add("reader_threads", static_cast<uint64_t>(kThreads));
+  json.Add("steps_per_client", static_cast<uint64_t>(kSteps));
   std::vector<std::string> gate_fields;
 
   TextTable table("Simulated clients vs one command thread");
@@ -64,7 +60,6 @@ int main() {
     TrafficConfig config;
     config.clients = clients;
     config.steps = kSteps;
-    config.reader_threads = kThreads;
     config.seed = kSeed;
     WallTimer timer;
     TrafficResult result = RunTraffic(config);

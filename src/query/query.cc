@@ -17,15 +17,6 @@ namespace popan::query {
 
 namespace {
 
-/// Canonical order for range / partial-match point results: by (x, y).
-void SortCanonical(std::vector<geo::Point2>* points) {
-  std::sort(points->begin(), points->end(),
-            [](const geo::Point2& a, const geo::Point2& b) {
-              if (a.x() != b.x()) return a.x() < b.x();
-              return a.y() < b.y();
-            });
-}
-
 /// Shared dispatch for the five backends whose visitors speak domain
 /// points directly (PR quadtree, point quadtree, linear PR quadtree, grid
 /// file, EXCELL) — they expose the same RangeQueryVisit / PartialMatchVisit
@@ -40,14 +31,14 @@ QueryResult ExecutePointBackend(const Backend& backend,
                               [&result](const geo::Point2& p) {
                                 result.points.push_back(p);
                               });
-      SortCanonical(&result.points);
+      CanonicalizePointOrder(&result.points);
       break;
     case QueryKind::kPartialMatch:
       backend.PartialMatchVisit(spec.axis, spec.value, &result.cost,
                                 [&result](const geo::Point2& p) {
                                   result.points.push_back(p);
                                 });
-      SortCanonical(&result.points);
+      CanonicalizePointOrder(&result.points);
       break;
     case QueryKind::kNearestK:
       result.points = backend.NearestK(spec.target, spec.k, &result.cost);
@@ -130,7 +121,7 @@ uint64_t FoldDouble(uint64_t h, double v) {
 }  // namespace
 
 void CanonicalizePointOrder(std::vector<geo::Point2>* points) {
-  SortCanonical(points);
+  std::sort(points->begin(), points->end(), spatial::PointTieLess());
 }
 
 uint64_t ChecksumResult(uint64_t h, const QueryResult& r) {
@@ -230,7 +221,7 @@ QueryResult Execute(const MxBackend& backend, const QuerySpec& spec) {
                              result.points.push_back(
                                  backend.PointOfCell(x, y));
                            });
-      SortCanonical(&result.points);
+      CanonicalizePointOrder(&result.points);
       break;
     }
     case QueryKind::kPartialMatch: {
@@ -248,7 +239,7 @@ QueryResult Execute(const MxBackend& backend, const QuerySpec& spec) {
                                result.points.push_back(
                                    backend.PointOfCell(x, y));
                              });
-      SortCanonical(&result.points);
+      CanonicalizePointOrder(&result.points);
       break;
     }
     case QueryKind::kNearestK: {
@@ -297,7 +288,7 @@ QueryResult Execute(const HashBackend& backend, const QuerySpec& spec) {
               result.points.push_back(geo::Point2{xs[i], ys[i]});
             });
           });
-      SortCanonical(&result.points);
+      CanonicalizePointOrder(&result.points);
       break;
     }
     case QueryKind::kPartialMatch: {
@@ -330,7 +321,7 @@ QueryResult Execute(const HashBackend& backend, const QuerySpec& spec) {
               result.points.push_back(geo::Point2{xs[i], ys[i]});
             });
           });
-      SortCanonical(&result.points);
+      CanonicalizePointOrder(&result.points);
       break;
     }
     case QueryKind::kNearestK: {

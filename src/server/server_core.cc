@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "server/cow_store.h"
 #include "sim/thread_pool.h"
 #include "util/check.h"
 
@@ -18,6 +17,17 @@ Response ErrorResponse(MsgType type, const Status& status) {
   response.status = static_cast<uint8_t>(status.code());
   response.message = status.message();
   return response;
+}
+
+/// The request type an undecodable payload is answered for: its own type
+/// byte when that names a request, else 0, whose response type 0x80 every
+/// client reads as a response. Setting the high bit of any byte would
+/// answer 0x40 and 0xC0 with 0xC0, the notification type.
+MsgType TypeOfUndecodable(std::string_view payload) {
+  const uint8_t t = payload.empty() ? 0 : static_cast<uint8_t>(payload[0]);
+  const bool is_request = t >= static_cast<uint8_t>(MsgType::kInsert) &&
+                          t <= static_cast<uint8_t>(MsgType::kPing);
+  return static_cast<MsgType>(is_request ? t : 0);
 }
 
 bool FinitePoint(const geo::Point2& p) {
@@ -37,13 +47,6 @@ ServerCore::ServerCore(std::unique_ptr<StoreBackend> store,
 }
 
 ServerCore::~ServerCore() = default;
-
-ServerCore::ServerCore(const geo::Box2& bounds,
-                       const spatial::PrTreeOptions& options,
-                       spatial::WalWriter* wal, uint64_t initial_sequence,
-                       const std::vector<geo::Point2>& seed_points)
-    : ServerCore(std::make_unique<CowTreeBackend>(
-          bounds, options, wal, initial_sequence, seed_points)) {}
 
 uint64_t ServerCore::OpenClient() {
   popan::AssumeRole command(command_role_);
@@ -74,6 +77,7 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
     return Status::NotFound("unknown client " + std::to_string(client_id));
   }
   it->second.inbox.append(bytes.data(), bytes.size());
+  std::string& outbox = it->second.outbox;
   size_t offset = 0;
   Status frame_error;
   std::string_view payload;
@@ -91,31 +95,26 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
       read_run_.push_back(std::move(request).value());
       continue;
     }
-    FlushReadRun(client_id, &it->second.outbox);
+    FlushReadRun(&outbox);
     if (request.ok() && IsWriteKind(request.value().type)) {
       if (!write_run_open_) {
         store_->BeginWriteRun();
         write_run_open_ = true;
       }
-      SubmitResponseLocked(client_id, HandleWrite(request.value()));
+      outbox += EncodeResponseFrame(HandleWrite(request.value()));
       continue;
     }
     EndWriteRun();
-    if (request.ok()) {
-      HandleRequestLocked(client_id, request.value());
-    } else {
-      // Framing is intact, the payload is not: answer and carry on.
-      MsgType type = payload.empty() ? MsgType::kPing
-                                     : static_cast<MsgType>(
-                                           static_cast<uint8_t>(payload[0]));
-      it->second.outbox +=
-          EncodeResponseFrame(ErrorResponse(type, request.status()));
-    }
+    // Framing is intact even when the payload is not: answer and carry on.
+    outbox += EncodeResponseFrame(
+        request.ok() ? HandleControl(client_id, request.value())
+                     : ErrorResponse(TypeOfUndecodable(payload),
+                                     request.status()));
   }
   // The run's WAL records reach the OS here, before the caller can send
   // any of its acks.
   EndWriteRun();
-  FlushReadRun(client_id, &it->second.outbox);
+  FlushReadRun(&outbox);
   it->second.inbox.erase(0, offset);
   return frame_error;
 }
@@ -126,133 +125,34 @@ void ServerCore::EndWriteRun() {
   write_run_open_ = false;
 }
 
-void ServerCore::FlushReadRun(uint64_t client_id, std::string* outbox) {
-  if (read_run_.size() >= 2 && read_threads_ > 0) {
-    // One pin serves the whole run: every frame of it was decoded by this
-    // ConsumeBytes call, so no write can have landed in between.
-    StatusOr<std::unique_ptr<const ReadView>> view = store_->PrepareRead();
-    if (view.ok()) {
-      if (read_pool_ == nullptr) {
-        read_pool_ = std::make_unique<sim::ThreadPool>(read_threads_);
-      }
-      const ReadView& pinned = *view.value();
-      const std::vector<Request>& run = read_run_;
-      std::vector<std::string> frames(run.size());
-      read_pool_->ParallelFor(run.size(), [&pinned, &run, &frames](size_t i) {
-        frames[i] = EncodeResponseFrame(pinned.Complete(run[i]));
-      });
-      for (const std::string& frame : frames) *outbox += frame;
-      read_run_.clear();
-      return;
+void ServerCore::FlushReadRun(std::string* outbox) {
+  if (read_run_.empty()) return;
+  // One pin serves the whole run: every frame of it was decoded by this
+  // ConsumeBytes call, so no write can have landed in between.
+  StatusOr<std::unique_ptr<const ReadView>> view = store_->PrepareRead();
+  if (!view.ok()) {
+    // No reader slot free: shed each read with the error.
+    for (const Request& request : read_run_) {
+      *outbox += EncodeResponseFrame(ErrorResponse(request.type,
+                                                   view.status()));
     }
-    // No reader slot free: the serial path answers each read with the
-    // shed-load error.
-  }
-  for (const Request& request : read_run_) {
-    HandleRequestLocked(client_id, request);
+  } else if (read_run_.size() >= 2 && read_threads_ > 0) {
+    if (read_pool_ == nullptr) {
+      read_pool_ = std::make_unique<sim::ThreadPool>(read_threads_);
+    }
+    const ReadView& pinned = *view.value();
+    const std::vector<Request>& run = read_run_;
+    std::vector<std::string> frames(run.size());
+    read_pool_->ParallelFor(run.size(), [&pinned, &run, &frames](size_t i) {
+      frames[i] = EncodeResponseFrame(pinned.Complete(run[i]));
+    });
+    for (const std::string& frame : frames) *outbox += frame;
+  } else {
+    for (const Request& request : read_run_) {
+      *outbox += EncodeResponseFrame(view.value()->Complete(request));
+    }
   }
   read_run_.clear();
-}
-
-void ServerCore::HandleRequest(uint64_t client_id, const Request& request) {
-  popan::AssumeRole command(command_role_);
-  HandleRequestLocked(client_id, request);
-}
-
-void ServerCore::HandleRequestLocked(uint64_t client_id,
-                                     const Request& request) {
-  auto it = clients_.find(client_id);
-  POPAN_CHECK(it != clients_.end()) << "request from unopened client";
-  if (IsReadKind(request.type)) {
-    StatusOr<PreparedRead> prepared = PrepareReadLocked(request);
-    if (!prepared.ok()) {
-      SubmitResponseLocked(client_id,
-                           ErrorResponse(request.type, prepared.status()));
-      return;
-    }
-    SubmitResponseLocked(client_id, CompleteRead(prepared.value()));
-    return;
-  }
-  switch (request.type) {
-    case MsgType::kInsert:
-    case MsgType::kErase:
-    case MsgType::kInsertBatch:
-      SubmitResponseLocked(client_id, HandleWrite(request));
-      return;
-    case MsgType::kSubscribe:
-      SubmitResponseLocked(client_id, HandleSubscribe(client_id, request));
-      return;
-    case MsgType::kUnsubscribe: {
-      Response response;
-      response.type = ResponseTypeFor(request.type);
-      auto owner = sub_owner_.find(request.sub_id);
-      if (owner == sub_owner_.end() || owner->second != client_id) {
-        // A client can only drop its own subscriptions; an id owned by
-        // another connection is indistinguishable from a dead one.
-        SubmitResponseLocked(
-            client_id,
-            ErrorResponse(request.type,
-                          Status::NotFound(
-                              "subscription " +
-                              std::to_string(request.sub_id) +
-                              " is not registered to this client")));
-        return;
-      }
-      Status dropped = subs_.Unsubscribe(request.sub_id);
-      POPAN_CHECK(dropped.ok()) << dropped.ToString();
-      sub_owner_.erase(owner);
-      std::vector<uint64_t>& owned = it->second.sub_ids;
-      owned.erase(std::find(owned.begin(), owned.end(), request.sub_id));
-      SubmitResponseLocked(client_id, response);
-      return;
-    }
-    case MsgType::kPing: {
-      Response response;
-      response.type = ResponseTypeFor(request.type);
-      SubmitResponseLocked(client_id, response);
-      return;
-    }
-    default:
-      SubmitResponseLocked(client_id,
-                           ErrorResponse(request.type,
-                                         Status::InvalidArgument(
-                                             "type is not a request")));
-      return;
-  }
-}
-
-StatusOr<PreparedRead> ServerCore::PrepareRead(const Request& request) {
-  popan::AssumeRole command(command_role_);
-  return PrepareReadLocked(request);
-}
-
-StatusOr<PreparedRead> ServerCore::PrepareReadLocked(const Request& request) {
-  if (!IsReadKind(request.type)) {
-    return Status::InvalidArgument("not a read-kind request");
-  }
-  POPAN_ASSIGN_OR_RETURN(std::unique_ptr<const ReadView> view,
-                         store_->PrepareRead());
-  return PreparedRead{request, std::move(view)};
-}
-
-Response ServerCore::CompleteRead(const PreparedRead& prepared) {
-  // Pure delegation: the view was pinned at prepare time and the
-  // backend's Complete is a pure function of (view, request), so this is
-  // safe on any thread.
-  return prepared.view->Complete(prepared.request);
-}
-
-void ServerCore::SubmitResponse(uint64_t client_id,
-                                const Response& response) {
-  popan::AssumeRole command(command_role_);
-  SubmitResponseLocked(client_id, response);
-}
-
-void ServerCore::SubmitResponseLocked(uint64_t client_id,
-                                      const Response& response) {
-  auto it = clients_.find(client_id);
-  if (it == clients_.end()) return;  // client vanished mid-flight
-  it->second.outbox += EncodeResponseFrame(response);
 }
 
 std::string ServerCore::TakeOutput(uint64_t client_id) {
@@ -310,18 +210,33 @@ Response ServerCore::HandleWrite(const Request& request) {
   return response;
 }
 
-Response ServerCore::HandleSubscribe(uint64_t client_id,
-                                     const Request& request) {
-  StatusOr<uint64_t> sub_id = subs_.Subscribe(request.box);
-  if (!sub_id.ok()) {
-    return ErrorResponse(request.type, sub_id.status());
-  }
-  sub_owner_.emplace(sub_id.value(), client_id);
-  clients_.find(client_id)->second.sub_ids.push_back(sub_id.value());
+Response ServerCore::HandleControl(uint64_t client_id,
+                                   const Request& request) {
   Response response;
   response.type = ResponseTypeFor(request.type);
-  response.sub_id = sub_id.value();
-  return response;
+  std::vector<uint64_t>& owned = clients_.find(client_id)->second.sub_ids;
+  if (request.type == MsgType::kSubscribe) {
+    StatusOr<uint64_t> sub_id = subs_.Subscribe(request.box);
+    if (!sub_id.ok()) return ErrorResponse(request.type, sub_id.status());
+    sub_owner_.emplace(sub_id.value(), client_id);
+    owned.push_back(sub_id.value());
+    response.sub_id = sub_id.value();
+  } else if (request.type == MsgType::kUnsubscribe) {
+    auto owner = sub_owner_.find(request.sub_id);
+    if (owner == sub_owner_.end() || owner->second != client_id) {
+      // A client can only drop its own subscriptions; an id owned by
+      // another connection is indistinguishable from a dead one.
+      return ErrorResponse(
+          request.type,
+          Status::NotFound("subscription " + std::to_string(request.sub_id) +
+                           " is not registered to this client"));
+    }
+    Status dropped = subs_.Unsubscribe(request.sub_id);
+    POPAN_CHECK(dropped.ok()) << dropped.ToString();
+    sub_owner_.erase(owner);
+    owned.erase(std::find(owned.begin(), owned.end(), request.sub_id));
+  }
+  return response;  // a ping's answer is the bare response
 }
 
 void ServerCore::NotifyWrite(char op, const geo::Point2& p,

@@ -9,16 +9,12 @@
 #include <string_view>
 #include <vector>
 
-#include "geometry/box.h"
 #include "geometry/point.h"
 #include "server/protocol.h"
 #include "server/store.h"
 #include "server/subscriptions.h"
-#include "spatial/pr_tree.h"
-#include "spatial/wal.h"
 #include "util/mutex.h"
 #include "util/status.h"
-#include "util/statusor.h"
 #include "util/thread_annotations.h"
 
 namespace popan::sim {
@@ -27,42 +23,32 @@ class ThreadPool;
 
 namespace popan::server {
 
-/// A read request paired with the epoch-pinned store view it executes
-/// against. Produced serially by ServerCore::PrepareRead; completed by
-/// CompleteRead on any thread — the completion touches only the pinned
-/// view, so reads overlap writes without locks, and the response is a
-/// pure function of (view, request): bit-identical at any thread
-/// count. Move-only (the view owns its epoch pin).
-struct PreparedRead {
-  Request request;
-  std::unique_ptr<const ReadView> view;
-};
-
 /// The transport-agnostic query server: a StoreBackend (single
 /// CowPrQuadtree or Morton-range sharded map — see store.h), a
-/// SubscriptionIndex, and per-client frame outboxes.
+/// SubscriptionIndex, and per-client frame outboxes. Requests enter only
+/// as bytes, through ConsumeBytes.
 ///
 /// Threading contract: every member function runs on the single command
-/// thread (the socket poll loop, or the simulator's issuing loop) EXCEPT
-/// the static CompleteRead, which is safe on any thread because a
-/// PreparedRead's snapshot is already pinned. This mirrors the
-/// storage-engine split: serial command log, parallel reads. The contract
-/// is expressed as a ThreadRole capability: all mutable state is
-/// GUARDED_BY(command_role_), every entry point opens an AssumeRole
-/// scope, and internal helpers carry REQUIRES(command_role_) — so under
-/// clang -Wthread-safety a new code path that touches server state
-/// without declaring its affinity fails the build.
+/// thread (the socket poll loop, or the simulator's issuing loop). The
+/// read pool's workers are the only other threads; they touch nothing but
+/// one pinned ReadView, inside the ConsumeBytes call that started them.
+/// The contract is expressed as a ThreadRole capability: all mutable
+/// state is GUARDED_BY(command_role_), every entry point opens an
+/// AssumeRole scope, and internal helpers carry REQUIRES(command_role_) —
+/// so under clang -Wthread-safety a new code path that touches server
+/// state without declaring its affinity fails the build.
 ///
-/// Run-parallel reads: ConsumeBytes answers each run of two or more
-/// consecutive read-kind frames from ONE store pin, completing the reads
-/// on `read_threads` pool workers plus the command thread itself. One
-/// pin is exact because no write can land between two frames of one
-/// ConsumeBytes call (the command thread is busy decoding them). Each
-/// read encodes its response into its own slot and the slots are
-/// appended in request order after the join, so the bytes equal the
-/// serial path's at any thread count. The pin is released before
-/// ConsumeBytes returns. The pool is spawned on the first such run, so a
-/// core that only ever sees writes and single reads starts no thread.
+/// Reads: ConsumeBytes answers each run of consecutive read-kind frames
+/// from ONE store pin. One pin is exact because no write can land between
+/// two frames of one ConsumeBytes call (the command thread is busy
+/// decoding them). A run of two or more reads on a core with
+/// `read_threads` completes on the pool's workers plus the command thread
+/// itself; any other run completes serially on the same view. Each read
+/// encodes its response into its own slot and the slots are appended in
+/// request order, so the bytes are the same at any thread count. The pin
+/// is released before ConsumeBytes returns, so reads never overlap
+/// writes. The pool is spawned on the first run of two or more reads, so
+/// a core that only ever sees writes and single reads starts no thread.
 ///
 /// Write path ordering: validate -> apply to the backend (structure,
 /// then its WAL in lockstep) -> match subscriptions -> enqueue
@@ -79,7 +65,7 @@ struct PreparedRead {
 /// other frame, a malformed payload or the end of the call ends the run
 /// first; EndWriteRun, and with it the run's WAL flush, always happens
 /// before ConsumeBytes returns, so no ack of the run reaches a socket
-/// ahead of its records. HandleRequest applies each write alone.
+/// ahead of its records.
 class ServerCore {
  public:
   /// Serves an externally constructed storage engine (see store.h).
@@ -87,23 +73,6 @@ class ServerCore {
   /// the class comment); 0 completes every read on the command thread.
   explicit ServerCore(std::unique_ptr<StoreBackend> store,
                       size_t read_threads = 0);
-
-  /// Single-tree convenience form (the original API): constructs a
-  /// CowTreeBackend internally. `wal` may be null (no durability); when
-  /// provided it must already be positioned (fresh header or ResumeAt
-  /// after recovery) and its next_sequence must equal
-  /// `initial_sequence` + 1.
-  ///
-  /// `seed_points` pre-loads recovered state (WAL replay / checkpoint)
-  /// without logging or notifying: the tree is constructed so that its
-  /// sequence lands exactly on `initial_sequence` after seeding, keeping
-  /// snapshot sequence numbers aligned with log sequence numbers across
-  /// restarts. `initial_sequence` must be >= seed_points.size() (the
-  /// recovered op count can only exceed the surviving point count).
-  ServerCore(const geo::Box2& bounds, const spatial::PrTreeOptions& options,
-             spatial::WalWriter* wal = nullptr,
-             uint64_t initial_sequence = 0,
-             const std::vector<geo::Point2>& seed_points = {});
 
   /// Joins the read threads, if any were started.
   ~ServerCore();
@@ -119,7 +88,7 @@ class ServerCore {
 
   /// Feeds raw transport bytes from a client. Every complete frame in the
   /// stream is decoded and handled (pipelining: a burst of frames is
-  /// answered in order, runs of reads in parallel — see the class
+  /// answered in order, runs of reads from one pin — see the class
   /// comment); a trailing partial frame is buffered. Returns an
   /// error only for unrecoverable stream corruption (oversized length
   /// prefix, unknown client) — the caller must drop the connection.
@@ -127,23 +96,6 @@ class ServerCore {
   /// response and the stream continues.
   [[nodiscard]] Status ConsumeBytes(uint64_t client_id,
                                     std::string_view bytes);
-
-  /// Handles one decoded request, appending the response frame (and any
-  /// notification frames triggered by a write) to client outboxes.
-  void HandleRequest(uint64_t client_id, const Request& request);
-
-  /// Pins a snapshot for a read-kind request (range / partial-match /
-  /// k-NN / census). ResourceExhausted when all epoch reader slots are
-  /// taken — the caller sheds load with an error response instead of
-  /// crashing (the bug this API replaced).
-  [[nodiscard]] StatusOr<PreparedRead> PrepareRead(const Request& request);
-
-  /// Executes a prepared read. Pure and thread-safe (see above).
-  static Response CompleteRead(const PreparedRead& prepared);
-
-  /// Encodes `response` into `client_id`'s outbox. Used by callers that
-  /// complete reads off-thread and re-submit in request order.
-  void SubmitResponse(uint64_t client_id, const Response& response);
 
   /// Moves out everything queued for `client_id` (responses and
   /// notifications, in enqueue order). Empty string when nothing pending
@@ -182,26 +134,14 @@ class ServerCore {
     std::vector<uint64_t> sub_ids;  ///< subscriptions this client owns
   };
 
-  // REQUIRES bodies behind the public entry points above: public methods
-  // call each other (ConsumeBytes -> HandleRequest -> SubmitResponse), so
-  // the AssumeRole scope opens once at the outermost entry and the inner
-  // hops stay annotation-checked without re-acquiring the capability.
-  void HandleRequestLocked(uint64_t client_id, const Request& request)
-      REQUIRES(command_role_);
   /// Answers the buffered read run (read_run_) in request order into
-  /// `outbox` and empties it. A single read, or any read on a core
-  /// without read threads, takes HandleRequestLocked's path; a longer run
-  /// shares one pin and completes on the read pool.
-  void FlushReadRun(uint64_t client_id, std::string* outbox)
-      REQUIRES(command_role_);
-  [[nodiscard]] StatusOr<PreparedRead> PrepareReadLocked(
-      const Request& request) REQUIRES(command_role_);
-  void SubmitResponseLocked(uint64_t client_id, const Response& response)
-      REQUIRES(command_role_);
+  /// `outbox` and empties it (see the class comment).
+  void FlushReadRun(std::string* outbox) REQUIRES(command_role_);
   Response HandleWrite(const Request& request) REQUIRES(command_role_);
   /// Ends the store's open write run, if any (see ConsumeBytes).
   void EndWriteRun() REQUIRES(command_role_);
-  Response HandleSubscribe(uint64_t client_id, const Request& request)
+  /// Answers a subscribe, unsubscribe or ping.
+  Response HandleControl(uint64_t client_id, const Request& request)
       REQUIRES(command_role_);
   /// Appends one notification frame per subscription matching `p` (in
   /// ascending subscription-id order) to the owning clients' outboxes.

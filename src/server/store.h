@@ -15,10 +15,12 @@ namespace popan::server {
 /// A pinned, immutable view of the store at one sequence point.
 /// Produced serially by StoreBackend::PrepareRead on the command thread;
 /// Complete() is pure and safe on any thread — the response is a
-/// function of (view, request) only, so reads overlap writes without
-/// locks and results are bit-identical at any thread count. A ServerCore
-/// with read threads calls Complete on ONE view from several threads at
-/// once (a pipelined read run), so Complete must not write shared state.
+/// function of (view, request) only, so results are bit-identical at any
+/// thread count and writes after the pin stay invisible to it. ServerCore
+/// pins one view per run of reads and drops it before ConsumeBytes
+/// returns, so in the server no read overlaps a write. With read threads
+/// it calls Complete on that ONE view from several threads at once, so
+/// Complete must not write shared state.
 class ReadView {
  public:
   virtual ~ReadView() = default;

@@ -1,118 +1,19 @@
 #include "server/traffic_sim.h"
 
 #include <algorithm>
-#include <deque>
-#include <optional>
+#include <memory>
 #include <string>
-#include <thread>
-#include <utility>
 
 #include "query/query.h"
+#include "server/cow_store.h"
 #include "server/protocol.h"
 #include "server/server_core.h"
 #include "util/check.h"
-#include "util/mutex.h"
 #include "util/random.h"
-#include "util/thread_annotations.h"
 
 namespace popan::server {
 
 namespace {
-
-/// Outstanding pinned reads are capped well below the 64 epoch reader
-/// slots. Without the cap, a slow worker pool would let pins pile up
-/// until TrySnapshot starts returning ResourceExhausted — and whether
-/// that happens would depend on thread scheduling, poisoning the
-/// determinism contract. With it, slot exhaustion is impossible in the
-/// simulator at any thread count.
-constexpr size_t kMaxOutstandingReads = 32;
-
-/// One deferred read: prepared serially, completed by any worker. The
-/// worker releases the snapshot pin (prepared.reset()) before raising
-/// `done`, so "done" implies "epoch slot free". `frame` and `done` are
-/// guarded by the owning ReadPool's mu_ (GUARDED_BY cannot name another
-/// object's capability, so the contract is enforced at the pool's
-/// annotated access sites instead).
-struct ReadSlot {
-  std::optional<PreparedRead> prepared;
-  std::string frame;
-  bool done = false;
-};
-
-/// FIFO job queue feeding the worker pool, plus the completion signal the
-/// issuing thread waits on. All waits are RAII-locked and predicate-based.
-class ReadPool {
- public:
-  explicit ReadPool(size_t threads) {
-    for (size_t i = 0; i < threads; ++i) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-
-  ~ReadPool() { Drain(); }
-
-  /// Hands a slot to the pool (or completes it inline with no workers).
-  void Submit(ReadSlot* slot) EXCLUDES(mu_) {
-    if (workers_.empty()) {
-      Complete(slot);
-      return;
-    }
-    popan::MutexLock lock(mu_);
-    jobs_.push_back(slot);
-    jobs_cv_.NotifyOne();
-  }
-
-  /// Blocks until `slot` is completed and its pin released.
-  void WaitFor(ReadSlot* slot) EXCLUDES(mu_) {
-    popan::MutexLock lock(mu_);
-    while (!slot->done) done_cv_.Wait(lock);
-  }
-
-  /// Stops the workers after the queue empties and joins them.
-  void Drain() EXCLUDES(mu_) {
-    {
-      popan::MutexLock lock(mu_);
-      stopping_ = true;
-      jobs_cv_.NotifyAll();
-    }
-    for (std::thread& worker : workers_) {
-      if (worker.joinable()) worker.join();
-    }
-    workers_.clear();
-  }
-
- private:
-  void WorkerLoop() EXCLUDES(mu_) {
-    for (;;) {
-      ReadSlot* slot = nullptr;
-      {
-        popan::MutexLock lock(mu_);
-        while (!stopping_ && jobs_.empty()) jobs_cv_.Wait(lock);
-        if (jobs_.empty()) return;  // stopping and drained
-        slot = jobs_.front();
-        jobs_.pop_front();
-      }
-      Complete(slot);
-    }
-  }
-
-  void Complete(ReadSlot* slot) EXCLUDES(mu_) {
-    Response response = ServerCore::CompleteRead(*slot->prepared);
-    std::string frame = EncodeResponseFrame(response);
-    popan::MutexLock lock(mu_);
-    slot->frame = std::move(frame);
-    slot->prepared.reset();  // release the epoch pin before signaling
-    slot->done = true;
-    done_cv_.NotifyAll();
-  }
-
-  popan::Mutex mu_;
-  popan::CondVar jobs_cv_;
-  popan::CondVar done_cv_;
-  std::deque<ReadSlot*> jobs_ GUARDED_BY(mu_);
-  bool stopping_ GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;  // spawned in ctor, joined in Drain
-};
 
 /// Per-client issuing state, all touched only by the serial loop.
 struct SimClient {
@@ -120,13 +21,6 @@ struct SimClient {
   Pcg32 rng{0};
   std::vector<geo::Point2> owned;     ///< points this client inserted
   std::vector<uint64_t> subs;         ///< live subscription ids
-  /// Response frames in request order: inline strings for serially
-  /// handled requests, slot references for deferred reads.
-  struct Entry {
-    std::string frame;
-    ReadSlot* slot = nullptr;
-  };
-  std::vector<Entry> entries;
   ClientTranscript transcript;
 };
 
@@ -202,12 +96,14 @@ Request NextRequest(SimClient* client, const TrafficConfig& config) {
   return request;
 }
 
-/// Splits the frames `core` queued for every client into response frames
-/// (owed to the issuing client's entry list) and notification frames
-/// (folded into the receiving client's transcript immediately — delivery
-/// order IS outbox order).
-void DrainOutboxes(ServerCore* core, std::vector<SimClient>* clients,
-                   SimClient* issuer) {
+/// Folds the frames `core` queued for every client into their
+/// transcripts: notifications into the receiving client's, in delivery
+/// (outbox) order, and the one response into the issuer's, in request
+/// order. Returns that response's payload.
+std::string DrainOutboxes(ServerCore* core, std::vector<SimClient>* clients,
+                          const SimClient* issuer) {
+  std::string response;
+  size_t responses = 0;
   for (SimClient& client : *clients) {
     std::string output = core->TakeOutput(client.id);
     if (output.empty()) continue;
@@ -215,26 +111,32 @@ void DrainOutboxes(ServerCore* core, std::vector<SimClient>* clients,
     std::string_view payload;
     Status error;
     while (NextFrame(output, &offset, &payload, &error)) {
-      POPAN_CHECK(!payload.empty());
-      bool is_notification =
-          static_cast<uint8_t>(payload[0]) ==
-          static_cast<uint8_t>(MsgType::kNotification);
+      POPAN_CHECK(payload.size() >= 2);
       // Reconstruct the full frame bytes for the checksum.
       std::string_view frame(payload.data() - 4, payload.size() + 4);
-      if (is_notification) {
-        client.transcript.notification_checksum =
-            FoldBytes(client.transcript.notification_checksum, frame);
-        ++client.transcript.notifications;
-      } else {
-        POPAN_CHECK(&client == issuer)
-            << "response routed to a client that did not ask";
-        issuer->entries.push_back(
-            SimClient::Entry{std::string(frame), nullptr});
+      ClientTranscript& t = client.transcript;
+      if (static_cast<uint8_t>(payload[0]) ==
+          static_cast<uint8_t>(MsgType::kNotification)) {
+        t.notification_checksum = FoldBytes(t.notification_checksum, frame);
+        ++t.notifications;
+        continue;
       }
+      POPAN_CHECK(&client == issuer)
+          << "response routed to a client that did not ask";
+      t.response_checksum = FoldBytes(t.response_checksum, frame);
+      if (payload[1] == 0) {
+        ++t.responses_ok;
+      } else {
+        ++t.responses_error;
+      }
+      response = std::string(payload);
+      ++responses;
     }
     POPAN_CHECK(error.ok()) << error.ToString();
     POPAN_CHECK(offset == output.size());
   }
+  POPAN_CHECK(responses == 1) << responses << " responses to one request";
+  return response;
 }
 
 }  // namespace
@@ -261,7 +163,7 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
   spatial::PrTreeOptions options;
   options.capacity = config.capacity;
   options.max_depth = config.max_depth;
-  ServerCore core(config.bounds, options);
+  ServerCore core(std::make_unique<CowTreeBackend>(config.bounds, options));
 
   RngStreamFamily family(config.seed);
   std::vector<SimClient> clients(config.clients);
@@ -273,10 +175,6 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
     clients[c].transcript.notification_checksum = query::kChecksumSeed;
   }
 
-  std::deque<ReadSlot> slots;  // deque: stable addresses for the pool
-  size_t oldest_pending = 0;   // first slot not yet known-done
-  ReadPool pool(config.reader_threads);
-
   for (size_t step = 0; step < config.steps; ++step) {
     for (SimClient& client : clients) {
       Request request = NextRequest(&client, config);
@@ -284,59 +182,27 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
       client.transcript.request_checksum =
           FoldBytes(client.transcript.request_checksum, request_frame);
       ++client.transcript.requests;
-
-      if (IsReadKind(request.type)) {
-        // Bound the live epoch pins before taking another one.
-        while (slots.size() - oldest_pending >= kMaxOutstandingReads) {
-          pool.WaitFor(&slots[oldest_pending]);
-          ++oldest_pending;
-        }
-        StatusOr<PreparedRead> prepared = core.PrepareRead(request);
-        POPAN_CHECK(prepared.ok()) << prepared.status().ToString();
-        slots.emplace_back();
-        ReadSlot* slot = &slots.back();
-        slot->prepared.emplace(std::move(prepared).value());
-        client.entries.push_back(SimClient::Entry{std::string(), slot});
-        pool.Submit(slot);
-      } else {
-        // Writes and control requests travel the full wire path: encode,
-        // frame, decode, handle — then the outboxes are drained so
-        // notification delivery order is fixed serially.
-        Status consumed = core.ConsumeBytes(client.id, request_frame);
-        POPAN_CHECK(consumed.ok()) << consumed.ToString();
-        DrainOutboxes(&core, &clients, &client);
-        if (request.type == MsgType::kSubscribe) {
-          // Mirror the granted id from the drained response so later
-          // unsubscribes use real ids.
-          const std::string& frame = client.entries.back().frame;
-          StatusOr<Response> response =
-              DecodeResponsePayload(std::string_view(frame).substr(4));
-          POPAN_CHECK(response.ok());
-          if (response.value().status == 0) {
-            client.subs.push_back(response.value().sub_id);
-          }
+      // Every request travels the full wire path and is answered before
+      // the next is issued, so notification delivery order is fixed
+      // serially.
+      Status consumed = core.ConsumeBytes(client.id, request_frame);
+      POPAN_CHECK(consumed.ok()) << consumed.ToString();
+      std::string response = DrainOutboxes(&core, &clients, &client);
+      if (request.type == MsgType::kSubscribe) {
+        // Mirror the granted id so later unsubscribes use real ids.
+        StatusOr<Response> granted = DecodeResponsePayload(response);
+        POPAN_CHECK(granted.ok());
+        if (granted.value().status == 0) {
+          client.subs.push_back(granted.value().sub_id);
         }
       }
     }
   }
-  pool.Drain();
 
   TrafficResult result;
   result.combined_checksum = query::kChecksumSeed;
-  for (SimClient& client : clients) {
-    for (const SimClient::Entry& entry : client.entries) {
-      const std::string& frame =
-          entry.slot != nullptr ? entry.slot->frame : entry.frame;
-      POPAN_CHECK(frame.size() >= 6);
-      client.transcript.response_checksum =
-          FoldBytes(client.transcript.response_checksum, frame);
-      if (static_cast<uint8_t>(frame[5]) == 0) {
-        ++client.transcript.responses_ok;
-      } else {
-        ++client.transcript.responses_error;
-      }
-    }
-    ClientTranscript& t = client.transcript;
+  for (const SimClient& client : clients) {
+    const ClientTranscript& t = client.transcript;
     result.total_requests += t.requests;
     result.total_notifications += t.notifications;
     uint64_t h = result.combined_checksum;

@@ -10,15 +10,13 @@
 
 namespace popan::server {
 
-/// Multi-client traffic generator for the query server, built on the same
-/// two determinism pillars as the rest of the repo: counter-based RNG
-/// streams (client c's operation stream depends only on (seed, c), never
-/// on interleaving) and snapshot reads (a read's answer is a pure function
-/// of the version it pinned). Writes and subscription bookkeeping run on
-/// the single issuing thread; read completions fan out to
-/// `reader_threads` real threads through epoch-pinned PreparedReads —
-/// real concurrency for TSan, with per-client transcripts that stay
-/// bit-identical at ANY thread count, including 0 (fully inline).
+/// Multi-client traffic generator for the query server. Client c's
+/// operation stream is a counter-based RNG stream that depends only on
+/// (seed, c), never on interleaving. Every request is sent as bytes
+/// through ServerCore::ConsumeBytes, the path popan_server runs, and is
+/// answered before the next one is issued: a read sees every earlier
+/// write and no later one, as in the server, so per-client transcripts
+/// are a pure function of the config.
 struct TrafficConfig {
   geo::Box2 bounds = geo::Box2::UnitCube();
   size_t clients = 4;
@@ -27,7 +25,6 @@ struct TrafficConfig {
   size_t max_depth = 16;    ///< tree depth limit
   size_t k_max = 8;         ///< k-NN draws k in [1, k_max]
   size_t max_subs_per_client = 4;
-  size_t reader_threads = 0;  ///< 0 = complete reads inline
   uint64_t seed = 0;
 };
 
@@ -48,8 +45,7 @@ struct ClientTranscript {
 struct TrafficResult {
   std::vector<ClientTranscript> transcripts;
   /// Folds every transcript plus the final tree state — the single
-  /// integer the CI job compares across thread counts and the bench
-  /// reference gates on.
+  /// integer the bench reference gates on.
   uint64_t combined_checksum = 0;
   uint64_t total_requests = 0;
   uint64_t total_notifications = 0;
@@ -62,8 +58,7 @@ uint64_t FoldBytes(uint64_t h, std::string_view bytes);
 uint64_t FoldU64(uint64_t h, uint64_t v);
 
 /// Runs the simulated session. Deterministic: two runs with the same
-/// config (including across different reader_threads values) produce
-/// identical TrafficResults.
+/// config produce identical TrafficResults.
 TrafficResult RunTraffic(const TrafficConfig& config);
 
 }  // namespace popan::server

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "spatial/census.h"
+#include "spatial/knn_heap.h"
 #include "spatial/linear_quadtree.h"
 #include "spatial/snapshot_view.h"
 #include "util/check.h"
@@ -24,14 +25,6 @@ struct SnapshotRecord {
   spatial::Census census;
   std::vector<std::vector<geo::Point2>> query_results;
 };
-
-void SortCanonical(std::vector<geo::Point2>* points) {
-  std::sort(points->begin(), points->end(),
-            [](const geo::Point2& a, const geo::Point2& b) {
-              if (a.x() != b.x()) return a.x() < b.x();
-              return a.y() < b.y();
-            });
-}
 
 spatial::PrTreeOptions OptionsOf(const RwStormConfig& config) {
   spatial::PrTreeOptions options;
@@ -168,7 +161,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
         for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
           std::vector<geo::Point2> points = snapshot.RangeQuery(
               StormQueryBox(config.seed, record.sequence, j));
-          SortCanonical(&points);
+          std::sort(points.begin(), points.end(), spatial::PointTieLess());
           record.query_results.push_back(std::move(points));
         }
         out.push_back(std::move(record));
@@ -216,7 +209,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
     for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
       std::vector<geo::Point2> points =
           snapshot.RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-      SortCanonical(&points);
+      std::sort(points.begin(), points.end(), spatial::PointTieLess());
       record.query_results.push_back(std::move(points));
     }
     records.push_back(std::move(record));
@@ -235,7 +228,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
         for (uint64_t j = 0; j < record.query_results.size(); ++j) {
           std::vector<geo::Point2> points =
               ref.RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-          SortCanonical(&points);
+          std::sort(points.begin(), points.end(), spatial::PointTieLess());
           ref_q.push_back(std::move(points));
         }
         return CompareRecord(record, ref.size(), ref.LiveCensus(), ref_q);
@@ -290,7 +283,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
         for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
           std::vector<geo::Point2> points = view->RangeQuery(
               StormQueryBox(config.seed, record.sequence, j));
-          SortCanonical(&points);
+          std::sort(points.begin(), points.end(), spatial::PointTieLess());
           record.query_results.push_back(std::move(points));
         }
         out.push_back(std::move(record));
@@ -377,7 +370,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
         for (uint64_t j = 0; j < record.query_results.size(); ++j) {
           std::vector<geo::Point2> points =
               ref->RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-          SortCanonical(&points);
+          std::sort(points.begin(), points.end(), spatial::PointTieLess());
           ref_q.push_back(std::move(points));
         }
         return CompareRecord(record, ref->size(), ref_census, ref_q);

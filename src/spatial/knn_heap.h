@@ -8,9 +8,9 @@
 
 namespace popan::spatial {
 
-/// Canonical tie-break for domain points: lexicographic by coordinates —
-/// the same (x, y) order SortCanonical gives range and partial-match
-/// results.
+/// Canonical order for domain points: lexicographic by coordinates. It
+/// breaks k-NN distance ties and orders range and partial-match results
+/// (query::CanonicalizePointOrder).
 struct PointTieLess {
   template <typename PointT>
   bool operator()(const PointT& a, const PointT& b) const {

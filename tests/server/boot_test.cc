@@ -13,8 +13,10 @@
 
 #include "geometry/box.h"
 #include "geometry/point.h"
+#include "server/cow_store.h"
 #include "server/server_core.h"
 #include "spatial/pr_tree.h"
+#include "testing/server_testing.h"
 #include "testing/statusor_testing.h"
 #include "util/status.h"
 
@@ -70,12 +72,13 @@ TEST(BootTest, EmptyFileIsFreshBootNotCorruption) {
   // And the fresh log is genuinely usable end to end: serve a write
   // through ServerCore, then recover it on the next boot.
   {
-    ServerCore core(UnitDomain(), SmallTree(), &*boot.wal);
+    ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(),
+                                                     SmallTree(), &*boot.wal));
     uint64_t client = core.OpenClient();
     Request insert;
     insert.type = MsgType::kInsert;
     insert.point = Point2(0.25, 0.75);
-    core.HandleRequest(client, insert);
+    EXPECT_EQ(Ask(&core, client, insert).status, 0);
     EXPECT_EQ(core.sequence(), 1u);
     boot.wal_stream->flush();
   }

@@ -28,6 +28,7 @@
 #include "spatial/pr_tree.h"
 #include "spatial/wal.h"
 #include "testing/rejecting_streambuf.h"
+#include "testing/server_testing.h"
 #include "testing/statusor_testing.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -48,40 +49,6 @@ spatial::PrTreeOptions SmallTree() {
   return options;
 }
 
-/// A decoded outbox entry: exactly one of response / notification.
-struct OutFrame {
-  bool is_notification = false;
-  Response response;
-  Notification notification;
-};
-
-std::vector<OutFrame> DrainFrames(ServerCore* core, uint64_t client_id) {
-  std::string bytes = core->TakeOutput(client_id);
-  std::vector<OutFrame> frames;
-  size_t offset = 0;
-  std::string_view payload;
-  Status error;
-  while (NextFrame(bytes, &offset, &payload, &error)) {
-    OutFrame frame;
-    if (!payload.empty() &&
-        static_cast<uint8_t>(payload[0]) ==
-            static_cast<uint8_t>(MsgType::kNotification)) {
-      frame.is_notification = true;
-      frame.notification = ValueOrDie(DecodeNotificationPayload(payload));
-    } else {
-      frame.response = ValueOrDie(DecodeResponsePayload(payload));
-    }
-    frames.push_back(std::move(frame));
-  }
-  EXPECT_TRUE(error.ok());
-  EXPECT_EQ(offset, bytes.size());
-  return frames;
-}
-
-std::string Frame(const Request& request) {
-  return EncodeRequestFrame(request);
-}
-
 Request Insert(double x, double y) {
   Request r;
   r.type = MsgType::kInsert;
@@ -97,7 +64,7 @@ Request Range(const Box2& box) {
 }
 
 TEST(ServerCoreTest, PipelinedBurstAnsweredInOrder) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   Request census;
   census.type = MsgType::kCensus;
@@ -124,7 +91,7 @@ TEST(ServerCoreTest, PipelinedBurstAnsweredInOrder) {
 }
 
 TEST(ServerCoreTest, SplitFrameAcrossConsumeCalls) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   std::string frame = Frame(Insert(0.3, 0.7));
   // Deliver byte by byte: no response until the frame completes.
@@ -141,7 +108,7 @@ TEST(ServerCoreTest, SplitFrameAcrossConsumeCalls) {
 }
 
 TEST(ServerCoreTest, MalformedPayloadKeepsStreamAlive) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   // A syntactically framed but semantically broken payload (truncated
   // insert body), followed by a valid ping in the same burst.
@@ -163,8 +130,43 @@ TEST(ServerCoreTest, MalformedPayloadKeepsStreamAlive) {
   EXPECT_EQ(frames[1].response.type, ResponseTypeFor(MsgType::kPing));
 }
 
+TEST(ServerCoreTest, UndecodableTypeByteIsAnsweredWithAResponse) {
+  // Answering with `type | 0x80` turned 0x40 and 0xC0 into 0xC0, the
+  // notification type, which clients file as a notification: their
+  // response count fell one short.
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
+  uint64_t client = core.OpenClient();
+  Request ping;
+  ping.type = MsgType::kPing;
+  for (int type : {-1, 0x00, 0x40, 0x7f, 0x84, 0xc0, 0xff}) {
+    std::string payload;  // type -1: an empty payload
+    if (type >= 0) AppendU8(&payload, static_cast<uint8_t>(type));
+    std::string bad_frame;
+    AppendU32(&bad_frame, static_cast<uint32_t>(payload.size()));
+    bad_frame += payload;
+    ASSERT_TRUE(core.ConsumeBytes(client, bad_frame + Frame(ping)).ok());
+    std::string out = core.TakeOutput(client);
+    std::vector<std::string_view> frames;
+    size_t offset = 0;
+    std::string_view view;
+    Status error;
+    while (NextFrame(out, &offset, &view, &error)) frames.push_back(view);
+    ASSERT_EQ(frames.size(), 2u) << "type " << type;
+    StatusOr<Response> answer = DecodeResponsePayload(frames[0]);
+    ASSERT_TRUE(answer.ok()) << "type " << type << ": "
+                             << answer.status().ToString();
+    EXPECT_EQ(answer.value().status,
+              static_cast<uint8_t>(StatusCode::kInvalidArgument))
+        << "type " << type;
+    StatusOr<Response> pong = DecodeResponsePayload(frames[1]);
+    ASSERT_TRUE(pong.ok()) << "type " << type;
+    EXPECT_EQ(pong.value().type, ResponseTypeFor(MsgType::kPing));
+    EXPECT_EQ(pong.value().status, 0);
+  }
+}
+
 TEST(ServerCoreTest, OversizedFramePoisonsTheConnection) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   std::string poison;
   AppendU32(&poison, kMaxPayloadBytes + 1);
@@ -173,7 +175,7 @@ TEST(ServerCoreTest, OversizedFramePoisonsTheConnection) {
 }
 
 TEST(ServerCoreTest, NotificationsRouteToSubscribersOnly) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t watcher = core.OpenClient();
   uint64_t writer = core.OpenClient();
   Request subscribe;
@@ -212,7 +214,7 @@ TEST(ServerCoreTest, NotificationsRouteToSubscribersOnly) {
 }
 
 TEST(ServerCoreTest, SelfNotificationAndBatchWrites) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   Request subscribe;
   subscribe.type = MsgType::kSubscribe;
@@ -237,7 +239,7 @@ TEST(ServerCoreTest, SelfNotificationAndBatchWrites) {
 }
 
 TEST(ServerCoreTest, UnsubscribeRequiresOwnership) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t owner = core.OpenClient();
   uint64_t thief = core.OpenClient();
   Request subscribe;
@@ -260,7 +262,7 @@ TEST(ServerCoreTest, UnsubscribeRequiresOwnership) {
 }
 
 TEST(ServerCoreTest, CloseClientDropsItsSubscriptions) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t watcher = core.OpenClient();
   uint64_t writer = core.OpenClient();
   Request subscribe;
@@ -277,13 +279,13 @@ TEST(ServerCoreTest, CloseClientDropsItsSubscriptions) {
 }
 
 TEST(ServerCoreTest, OutOfBoundsAndNonFiniteWritesAreRejected) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   Request outside = Insert(1.5, 0.5);
   Request nan_point = Insert(0.5, 0.5);
   nan_point.point = Point2(std::numeric_limits<double>::quiet_NaN(), 0.5);
-  core.HandleRequest(client, outside);
-  core.HandleRequest(client, nan_point);
+  ASSERT_TRUE(core.ConsumeBytes(client, Frame(outside) + Frame(nan_point))
+                  .ok());
   std::vector<OutFrame> frames = DrainFrames(&core, client);
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_NE(frames[0].response.status, 0);
@@ -293,32 +295,30 @@ TEST(ServerCoreTest, OutOfBoundsAndNonFiniteWritesAreRejected) {
 }
 
 TEST(ServerCoreTest, PreparedReadSeesItsSnapshotNotLaterWrites) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   ASSERT_TRUE(core.ConsumeBytes(client, Frame(Insert(0.2, 0.2))).ok());
   (void)DrainFrames(&core, client);
-  PreparedRead prepared = ValueOrDie(
-      core.PrepareRead(Range(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)))));
+  const Request all = Range(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)));
+  std::unique_ptr<const ReadView> pinned = ValueOrDie(Pin(core));
   // Writes that land after the pin must be invisible to the read.
   ASSERT_TRUE(core.ConsumeBytes(client, Frame(Insert(0.4, 0.4)) +
                                             Frame(Insert(0.6, 0.6)))
                   .ok());
   (void)DrainFrames(&core, client);
-  Response response = ServerCore::CompleteRead(prepared);
+  Response response = pinned->Complete(all);
   EXPECT_EQ(response.status, 0);
   EXPECT_EQ(response.points.size(), 1u);
   EXPECT_EQ(response.sequence, 1u);
   // A fresh read sees everything.
-  PreparedRead fresh = ValueOrDie(
-      core.PrepareRead(Range(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)))));
-  EXPECT_EQ(ServerCore::CompleteRead(fresh).points.size(), 3u);
+  EXPECT_EQ(Ask(&core, client, all).points.size(), 3u);
 }
 
 TEST(ServerCoreTest, OneViewPredictsAllItsReadsFromOneCostModel) {
   // A pinned view serves a whole read run, completed by several threads at
   // once, and builds its cost model once. Every predicted_nodes must equal,
   // bit for bit, the answer of a view pinned for that read alone.
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   Pcg32 rng(17);
   std::string inserts;
@@ -344,17 +344,16 @@ TEST(ServerCoreTest, OneViewPredictsAllItsReadsFromOneCostModel) {
   }
   std::vector<uint64_t> expected;
   for (const Request& r : reads) {
-    const Response alone =
-        ServerCore::CompleteRead(ValueOrDie(core.PrepareRead(r)));
+    const Response alone = ValueOrDie(Pin(core))->Complete(r);
     ASSERT_GT(alone.predicted_nodes, 0.0);
     expected.push_back(std::bit_cast<uint64_t>(alone.predicted_nodes));
   }
-  const PreparedRead shared = ValueOrDie(core.PrepareRead(reads[0]));
+  const std::unique_ptr<const ReadView> shared = ValueOrDie(Pin(core));
   std::vector<uint64_t> got(reads.size());
   sim::ThreadPool pool(3);
   pool.ParallelFor(reads.size(), [&](size_t i) {
-    got[i] = std::bit_cast<uint64_t>(
-        shared.view->Complete(reads[i]).predicted_nodes);
+    got[i] =
+        std::bit_cast<uint64_t>(shared->Complete(reads[i]).predicted_nodes);
   });
   EXPECT_EQ(got, expected);
 }
@@ -364,7 +363,8 @@ TEST(ServerCoreTest, WalStaysInLockstepAndReplays) {
   spatial::PrTreeOptions options = SmallTree();
   {
     spatial::WalWriter wal(&log, UnitDomain(), options);
-    ServerCore core(UnitDomain(), options, &wal);
+    ServerCore core(
+        std::make_unique<CowTreeBackend>(UnitDomain(), options, &wal));
     uint64_t client = core.OpenClient();
     Request erase = Insert(0.25, 0.75);
     erase.type = MsgType::kErase;
@@ -392,8 +392,9 @@ TEST(ServerCoreTest, SeedPointsRebuildRecoveredState) {
   // and stamp new writes with sequence 6.
   std::vector<Point2> survivors = {Point2(0.1, 0.1), Point2(0.5, 0.5),
                                    Point2(0.9, 0.9)};
-  ServerCore core(UnitDomain(), SmallTree(), /*wal=*/nullptr,
-                  /*initial_sequence=*/5, survivors);
+  ServerCore core(std::make_unique<CowTreeBackend>(
+      UnitDomain(), SmallTree(), /*wal=*/nullptr,
+      /*initial_sequence=*/5, survivors));
   EXPECT_EQ(core.sequence(), 5u);
   EXPECT_EQ(core.size(), 3u);
   uint64_t client = core.OpenClient();
@@ -401,13 +402,14 @@ TEST(ServerCoreTest, SeedPointsRebuildRecoveredState) {
   std::vector<OutFrame> frames = DrainFrames(&core, client);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].response.sequence, 6u);
-  PreparedRead all = ValueOrDie(
-      core.PrepareRead(Range(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)))));
-  EXPECT_EQ(ServerCore::CompleteRead(all).points.size(), 4u);
+  EXPECT_EQ(Ask(&core, client, Range(Box2(Point2(0.0, 0.0),
+                                          Point2(1.0, 1.0))))
+                .points.size(),
+            4u);
 }
 
 TEST(ServerCoreTest, CensusAndKnnOverPipelinedState) {
-  ServerCore core(UnitDomain(), SmallTree());
+  ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   uint64_t client = core.OpenClient();
   std::string burst;
   for (int i = 0; i < 8; ++i) {
@@ -670,7 +672,7 @@ TEST(ServerCoreTest, PipelinedReadRunTakesOnePin) {
       EXPECT_EQ(frame.response.status, 0);
       ASSERT_EQ(frame.response.points.size(), 1u);
     }
-    EXPECT_EQ(pins, threads == 0 ? 200u : 1u) << threads << " threads";
+    EXPECT_EQ(pins, 1u) << threads << " threads";
   }
 }
 
@@ -678,9 +680,9 @@ TEST(ServerCoreTest, ReadRunWithNoFreeReaderSlotShedsEachRead) {
   ServerCore core(std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()),
                   3);
   uint64_t client = core.OpenClient();
-  std::vector<PreparedRead> held;
+  std::vector<std::unique_ptr<const ReadView>> held;
   for (int i = 0; i < 1000; ++i) {
-    StatusOr<PreparedRead> pinned = core.PrepareRead(Range(UnitDomain()));
+    StatusOr<std::unique_ptr<const ReadView>> pinned = Pin(core);
     if (!pinned.ok()) break;
     held.push_back(std::move(pinned).value());
   }

@@ -17,10 +17,12 @@
 
 #include "geometry/box.h"
 #include "geometry/point.h"
+#include "server/cow_store.h"
 #include "server/protocol.h"
 #include "server/server_core.h"
 #include "shard/router.h"
 #include "spatial/pr_tree.h"
+#include "testing/server_testing.h"
 #include "testing/statusor_testing.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -53,7 +55,8 @@ struct BackendPair {
 
 BackendPair MakePair() {
   BackendPair pair;
-  pair.single = std::make_unique<ServerCore>(UnitDomain(), SmallTree());
+  pair.single = std::make_unique<ServerCore>(
+      std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree()));
   shard::RouterOptions router_options;
   router_options.tree = SmallTree();
   auto router =
@@ -66,14 +69,15 @@ BackendPair MakePair() {
   return pair;
 }
 
-Response Ask(ServerCore* core, const Request& request) {
-  PreparedRead prepared = ValueOrDie(core->PrepareRead(request));
-  return ServerCore::CompleteRead(prepared);
+/// Sends `request` to both cores; returns their answers.
+std::pair<Response, Response> AskBoth(BackendPair* pair,
+                                      const Request& request) {
+  return {Ask(pair->single.get(), pair->single_client, request),
+          Ask(pair->sharded.get(), pair->sharded_client, request)};
 }
 
 void ExpectSameAnswer(BackendPair* pair, const Request& request) {
-  Response a = Ask(pair->single.get(), request);
-  Response b = Ask(pair->sharded.get(), request);
+  auto [a, b] = AskBoth(pair, request);
   EXPECT_EQ(a.status, b.status);
   EXPECT_EQ(a.sequence, b.sequence);
   ASSERT_EQ(a.points.size(), b.points.size());
@@ -89,15 +93,11 @@ TEST(ShardBackendTest, QueriesMatchSingleTreeAcrossSplitsAndMerges) {
   for (int i = 0; i < 400; ++i) {
     points.emplace_back(rng.NextDouble(), rng.NextDouble());
   }
-  auto write = [&](const Request& r) {
-    pair.single->HandleRequest(pair.single_client, r);
-    pair.sharded->HandleRequest(pair.sharded_client, r);
-  };
   Request insert;
   insert.type = MsgType::kInsert;
   for (size_t i = 0; i < points.size(); ++i) {
     insert.point = points[i];
-    write(insert);
+    AskBoth(&pair, insert);
     if (i == 100) {
       ASSERT_TRUE(pair.router->SplitShard(0).ok());
     }
@@ -137,8 +137,7 @@ TEST(ShardBackendTest, QueriesMatchSingleTreeAcrossSplitsAndMerges) {
   // counters differ, but size and sequence are backend-invariant.
   Request census;
   census.type = MsgType::kCensus;
-  Response a = Ask(pair.single.get(), census);
-  Response b = Ask(pair.sharded.get(), census);
+  auto [a, b] = AskBoth(&pair, census);
   EXPECT_EQ(a.size, b.size);
   EXPECT_EQ(a.sequence, b.sequence);
 
@@ -146,24 +145,15 @@ TEST(ShardBackendTest, QueriesMatchSingleTreeAcrossSplitsAndMerges) {
   Request range;
   range.type = MsgType::kRange;
   range.box = Box2(Point2(0.2, 0.2), Point2(0.4, 0.4));
-  EXPECT_GT(Ask(pair.sharded.get(), range).predicted_nodes, 0.0);
+  EXPECT_GT(Ask(pair.sharded.get(), pair.sharded_client, range)
+                .predicted_nodes,
+            0.0);
 }
 
 TEST(ShardBackendTest, WriteErrorsAndBatchAccountingMatch) {
   BackendPair pair = MakePair();
   auto both = [&](const Request& r) {
-    pair.single->HandleRequest(pair.single_client, r);
-    pair.sharded->HandleRequest(pair.sharded_client, r);
-    std::string a = pair.single->TakeOutput(pair.single_client);
-    std::string b = pair.sharded->TakeOutput(pair.sharded_client);
-    size_t offset = 0;
-    std::string_view payload;
-    Status error;
-    EXPECT_TRUE(NextFrame(a, &offset, &payload, &error));
-    Response ra = ValueOrDie(DecodeResponsePayload(payload));
-    offset = 0;
-    EXPECT_TRUE(NextFrame(b, &offset, &payload, &error));
-    Response rb = ValueOrDie(DecodeResponsePayload(payload));
+    auto [ra, rb] = AskBoth(&pair, r);
     EXPECT_EQ(ra.status, rb.status);
     EXPECT_EQ(ra.sequence, rb.sequence);
     EXPECT_EQ(ra.inserted, rb.inserted);
@@ -213,20 +203,20 @@ TEST(ShardBackendTest, PreparedReadPinsAcrossARebalance) {
   insert.type = MsgType::kInsert;
   for (int i = 0; i < 100; ++i) {
     insert.point = Point2(rng.NextDouble(), rng.NextDouble());
-    pair.sharded->HandleRequest(pair.sharded_client, insert);
+    Ask(pair.sharded.get(), pair.sharded_client, insert);
   }
   Request all;
   all.type = MsgType::kRange;
   all.box = UnitDomain();
-  PreparedRead pinned = ValueOrDie(pair.sharded->PrepareRead(all));
+  std::unique_ptr<const ReadView> pinned = ValueOrDie(Pin(*pair.sharded));
   // Split the map and keep writing; the pinned view must not move.
   ASSERT_TRUE(pair.router->SplitShard(0).ok());
   insert.point = Point2(0.5, 0.123456);
-  pair.sharded->HandleRequest(pair.sharded_client, insert);
-  Response before = ServerCore::CompleteRead(pinned);
+  Ask(pair.sharded.get(), pair.sharded_client, insert);
+  Response before = pinned->Complete(all);
   EXPECT_EQ(before.points.size(), 100u);
   EXPECT_EQ(before.sequence, 100u);
-  Response after = Ask(pair.sharded.get(), all);
+  Response after = Ask(pair.sharded.get(), pair.sharded_client, all);
   EXPECT_EQ(after.points.size(), 101u);
 }
 

@@ -140,7 +140,8 @@ TEST(SocketServerTest, EndToEndWithNotificationsAndShutdown) {
   spatial::PrTreeOptions options;
   options.capacity = 4;
   options.max_depth = 12;
-  ServerCore core(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options);
+  ServerCore core(std::make_unique<CowTreeBackend>(
+      Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options));
   SocketServer server(&core);
   uint16_t port = ValueOrDie(server.Listen(0));
   ASSERT_GT(port, 0);
@@ -208,7 +209,8 @@ TEST(SocketServerTest, EndToEndWithNotificationsAndShutdown) {
 TEST(SocketServerTest, PoisonedStreamClosesOnlyThatConnection) {
   spatial::PrTreeOptions options;
   options.capacity = 4;
-  ServerCore core(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options);
+  ServerCore core(std::make_unique<CowTreeBackend>(
+      Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options));
   SocketServer server(&core);
   uint16_t port = ValueOrDie(server.Listen(0));
   // Dedicated transport thread (blocks in poll; see above).
@@ -258,7 +260,8 @@ void InsertGrid(TestClient* writer, int count) {
 TEST(SocketServerTest, DeadPeerWithQueuedOutputIsDroppedNotFatal) {
   spatial::PrTreeOptions options;
   options.capacity = 4;
-  ServerCore core(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options);
+  ServerCore core(std::make_unique<CowTreeBackend>(
+      Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options));
   SocketServer server(&core);
   uint16_t port = ValueOrDie(server.Listen(0));
   // Dedicated transport thread (blocks in poll; see above).
@@ -314,7 +317,8 @@ TEST(SocketServerTest, DeadPeerWithQueuedOutputIsDroppedNotFatal) {
 TEST(SocketServerTest, PendingOutputCapDropsNonDrainingConsumer) {
   spatial::PrTreeOptions options;
   options.capacity = 4;
-  ServerCore core(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options);
+  ServerCore core(std::make_unique<CowTreeBackend>(
+      Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options));
   // A deliberately small cap so the test backs it up in milliseconds.
   SocketServer server(&core, /*max_pending_out=*/32 * 1024);
   uint16_t port = ValueOrDie(server.Listen(0));
@@ -359,7 +363,8 @@ TEST(SocketServerTest, PendingOutputCapDropsNonDrainingConsumer) {
 TEST(SocketServerTest, StopSendsQueuedOutputFirst) {
   spatial::PrTreeOptions options;
   options.capacity = 4;
-  ServerCore core(Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options);
+  ServerCore core(std::make_unique<CowTreeBackend>(
+      Box2(Point2(0.0, 0.0), Point2(1.0, 1.0)), options));
   // A cap well above the replies below, so none of them is refused.
   SocketServer server(&core, /*max_pending_out=*/64 * 1024 * 1024);
   uint16_t port = ValueOrDie(server.Listen(0));

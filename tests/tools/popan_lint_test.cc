@@ -336,14 +336,19 @@ TEST(PopanLintTest, RawThreadSpawnFlagsConstructionContainerAndDetach) {
 }
 
 TEST(PopanLintTest, RawThreadSpawnAllowedInPoolAndHarnessFiles) {
-  // The pool, the storm harness, and the traffic-sim read pool are the
-  // sanctioned homes for raw threads.
+  // The pool and the storm harness are the sanctioned homes for raw
+  // threads.
   for (const char* path :
        {"src/sim/thread_pool.cc", "src/sim/thread_pool.h",
-        "src/sim/rw_storm.cc", "src/server/traffic_sim.cc"}) {
+        "src/sim/rw_storm.cc"}) {
     EXPECT_TRUE(LintText(path, ReadFixture("raw_thread_spawn.cc")).empty())
         << path;
   }
+  // The traffic simulator drives the server through ConsumeBytes and
+  // starts no thread of its own.
+  EXPECT_FALSE(LintText("src/server/traffic_sim.cc",
+                        ReadFixture("raw_thread_spawn.cc"))
+                   .empty());
 }
 
 TEST(PopanLintTest, RawThreadSpawnSuppressionsSilence) {

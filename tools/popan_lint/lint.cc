@@ -954,8 +954,7 @@ class Linter {
     for (const char* allowed :
          {"src/sim/thread_pool.h", "src/sim/thread_pool.cc",
           "src/sim/rw_storm.h", "src/sim/rw_storm.cc",
-          "src/shard/shard_storm.h", "src/shard/shard_storm.cc",
-          "src/server/traffic_sim.h", "src/server/traffic_sim.cc"}) {
+          "src/shard/shard_storm.h", "src/shard/shard_storm.cc"}) {
       if (EndsWith(path_, allowed)) return;
     }
     for (size_t li = 0; li < model_.lines.size(); ++li) {

@@ -76,9 +76,8 @@ namespace popan::lint {
 ///                          vector<std::thread> pools) or .detach()
 ///                          outside the sanctioned homes: the ThreadPool
 ///                          implementation (src/sim/thread_pool.*) and the
-///                          storm/traffic harnesses (src/sim/rw_storm.*,
-///                          src/shard/shard_storm.*,
-///                          src/server/traffic_sim.*). Everything else
+///                          storm harnesses (src/sim/rw_storm.*,
+///                          src/shard/shard_storm.*). Everything else
 ///                          routes work through sim::ThreadPool so shutdown
 ///                          joins are structural, or carries a reasoned
 ///                          suppression (e.g. a test's server thread).
