@@ -37,6 +37,7 @@
 #include "sim/experiment.h"
 #include "sim/table.h"
 #include "util/random.h"
+#include "util/text_io.h"
 
 namespace {
 
@@ -68,16 +69,6 @@ size_t EnvOr(const char* name, size_t fallback) {
     }
   }
   return fallback;
-}
-
-/// FNV-1a over a byte string — the transcript's gated fingerprint.
-uint64_t StringChecksum(const std::string& text) {
-  uint64_t hash = 1469598103934665603ull;
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
 }
 
 /// Zipf-weighted cluster sampler: cluster k of `centers` is drawn with
@@ -278,7 +269,9 @@ int main() {
         .Add("storm_final_size", storm->final_size)
         .Add("storm_final_shards",
              static_cast<uint64_t>(storm->final_shards))
-        .Add("storm_transcript_checksum", StringChecksum(storm->transcript))
+        .Add("storm_transcript_checksum",
+             popan::Fnv1a(storm->transcript.data(), storm->transcript.size(),
+                          popan::shard::kTranscriptSeed))
         .Add("storm_seconds", seconds)
         .Add("storm_ops_per_sec",
              static_cast<double>(storm->ops_applied) / seconds);

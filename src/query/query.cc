@@ -12,6 +12,7 @@
 #include "spatial/morton.h"
 #include "spatial/soa_buffer.h"
 #include "util/simd.h"
+#include "util/text_io.h"
 
 namespace popan::query {
 
@@ -103,39 +104,22 @@ std::string QuerySpec::ToString() const {
   return os.str();
 }
 
-namespace {
-
-/// One FNV-1a step over the 8 bytes of `v`, low byte first.
-uint64_t FoldU64(uint64_t h, uint64_t v) {
-  for (size_t i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t FoldDouble(uint64_t h, double v) {
-  return FoldU64(h, std::bit_cast<uint64_t>(v));
-}
-
-}  // namespace
-
 void CanonicalizePointOrder(std::vector<geo::Point2>* points) {
   std::sort(points->begin(), points->end(), spatial::PointTieLess());
 }
 
 uint64_t ChecksumResult(uint64_t h, const QueryResult& r) {
-  h = FoldU64(h, r.points.size());
+  h = Fnv1aU64(h, r.points.size());
   for (const geo::Point2& p : r.points) {
-    h = FoldDouble(h, p.x());
-    h = FoldDouble(h, p.y());
+    h = Fnv1aU64(h, std::bit_cast<uint64_t>(p.x()));
+    h = Fnv1aU64(h, std::bit_cast<uint64_t>(p.y()));
   }
-  h = FoldU64(h, r.ids.size());
-  for (uint32_t id : r.ids) h = FoldU64(h, id);
-  h = FoldU64(h, r.cost.nodes_visited);
-  h = FoldU64(h, r.cost.leaves_touched);
-  h = FoldU64(h, r.cost.points_scanned);
-  h = FoldU64(h, r.cost.pruned_subtrees);
+  h = Fnv1aU64(h, r.ids.size());
+  for (uint32_t id : r.ids) h = Fnv1aU64(h, id);
+  h = Fnv1aU64(h, r.cost.nodes_visited);
+  h = Fnv1aU64(h, r.cost.leaves_touched);
+  h = Fnv1aU64(h, r.cost.points_scanned);
+  h = Fnv1aU64(h, r.cost.pruned_subtrees);
   return h;
 }
 

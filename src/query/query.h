@@ -21,6 +21,7 @@
 #include "spatial/query_cost.h"
 #include "spatial/snapshot_view.h"
 #include "util/check.h"
+#include "util/text_io.h"
 
 namespace popan::query {
 
@@ -81,7 +82,7 @@ struct QueryResult {
 /// Seed the chain with kChecksumSeed. Two batches with the same per-query
 /// results and costs — in the same order — produce the same checksum, which
 /// is how the executor determinism tests compare runs bit-exactly.
-inline constexpr uint64_t kChecksumSeed = 0xcbf29ce484222325ULL;
+inline constexpr uint64_t kChecksumSeed = kFnv1aBasis;
 uint64_t ChecksumResult(uint64_t h, const QueryResult& r);
 
 /// Sorts `points` into the canonical (x, y) order range and partial-match

@@ -36,7 +36,7 @@ class SnapshotReadView final : public ReadView {
     response.type = ResponseTypeFor(request.type);
     response.sequence = snapshot_.sequence();
     if (request.type == MsgType::kCensus) {
-      spatial::Census census = snapshot_.LiveCensus();
+      const spatial::Census& census = snapshot_.LiveCensus();
       response.size = snapshot_.size();
       response.leaf_count = snapshot_.LeafCount();
       response.max_depth = static_cast<uint32_t>(census.MaxDepth());

@@ -10,6 +10,7 @@
 #include "server/server_core.h"
 #include "util/check.h"
 #include "util/random.h"
+#include "util/text_io.h"
 
 namespace popan::server {
 
@@ -117,13 +118,15 @@ std::string DrainOutboxes(ServerCore* core, std::vector<SimClient>* clients,
       ClientTranscript& t = client.transcript;
       if (static_cast<uint8_t>(payload[0]) ==
           static_cast<uint8_t>(MsgType::kNotification)) {
-        t.notification_checksum = FoldBytes(t.notification_checksum, frame);
+        t.notification_checksum =
+            Fnv1a(frame.data(), frame.size(), t.notification_checksum);
         ++t.notifications;
         continue;
       }
       POPAN_CHECK(&client == issuer)
           << "response routed to a client that did not ask";
-      t.response_checksum = FoldBytes(t.response_checksum, frame);
+      t.response_checksum =
+          Fnv1a(frame.data(), frame.size(), t.response_checksum);
       if (payload[1] == 0) {
         ++t.responses_ok;
       } else {
@@ -140,22 +143,6 @@ std::string DrainOutboxes(ServerCore* core, std::vector<SimClient>* clients,
 }
 
 }  // namespace
-
-uint64_t FoldBytes(uint64_t h, std::string_view bytes) {
-  for (char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-uint64_t FoldU64(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 TrafficResult RunTraffic(const TrafficConfig& config) {
   POPAN_CHECK(config.clients >= 1 && config.steps >= 1);
@@ -180,7 +167,8 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
       Request request = NextRequest(&client, config);
       std::string request_frame = EncodeRequestFrame(request);
       client.transcript.request_checksum =
-          FoldBytes(client.transcript.request_checksum, request_frame);
+          Fnv1a(request_frame.data(), request_frame.size(),
+                client.transcript.request_checksum);
       ++client.transcript.requests;
       // Every request travels the full wire path and is answered before
       // the next is issued, so notification delivery order is fixed
@@ -206,22 +194,22 @@ TrafficResult RunTraffic(const TrafficConfig& config) {
     result.total_requests += t.requests;
     result.total_notifications += t.notifications;
     uint64_t h = result.combined_checksum;
-    h = FoldU64(h, t.request_checksum);
-    h = FoldU64(h, t.response_checksum);
-    h = FoldU64(h, t.notification_checksum);
-    h = FoldU64(h, t.requests);
-    h = FoldU64(h, t.responses_ok);
-    h = FoldU64(h, t.responses_error);
-    h = FoldU64(h, t.notifications);
+    h = Fnv1aU64(h, t.request_checksum);
+    h = Fnv1aU64(h, t.response_checksum);
+    h = Fnv1aU64(h, t.notification_checksum);
+    h = Fnv1aU64(h, t.requests);
+    h = Fnv1aU64(h, t.responses_ok);
+    h = Fnv1aU64(h, t.responses_error);
+    h = Fnv1aU64(h, t.notifications);
     result.combined_checksum = h;
     result.transcripts.push_back(t);
   }
   result.final_size = core.size();
   result.final_sequence = core.sequence();
-  result.combined_checksum = FoldU64(result.combined_checksum,
-                                     result.final_size);
-  result.combined_checksum = FoldU64(result.combined_checksum,
-                                     result.final_sequence);
+  result.combined_checksum =
+      Fnv1aU64(result.combined_checksum, result.final_size);
+  result.combined_checksum =
+      Fnv1aU64(result.combined_checksum, result.final_sequence);
   return result;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "geometry/box.h"
@@ -52,10 +51,6 @@ struct TrafficResult {
   uint64_t final_size = 0;
   uint64_t final_sequence = 0;
 };
-
-/// Chained FNV-1a folds (seed the chain with query::kChecksumSeed).
-uint64_t FoldBytes(uint64_t h, std::string_view bytes);
-uint64_t FoldU64(uint64_t h, uint64_t v);
 
 /// Runs the simulated session. Deterministic: two runs with the same
 /// config produce identical TrafficResults.

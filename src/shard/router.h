@@ -122,8 +122,9 @@ class MultiSnapshot {
   /// Sum of per-shard leaf counts.
   size_t LeafCount() const;
 
-  /// The merged census of every pinned view — feeds the same cost model
-  /// a single tree's census would.
+  /// The merged census of every pinned view, summed cell by cell from
+  /// the versions' censuses in place — feeds the same cost model a
+  /// single tree's census would.
   spatial::Census LiveCensus() const;
 
   /// The router's logical op clock at pin time.

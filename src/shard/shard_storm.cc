@@ -11,9 +11,11 @@
 
 #include "query/query.h"
 #include "sim/rw_storm.h"
+#include "spatial/census.h"
 #include "spatial/snapshot_view.h"
 #include "util/check.h"
 #include "util/random.h"
+#include "util/text_io.h"
 
 namespace popan::shard {
 
@@ -22,19 +24,11 @@ namespace {
 /// FNV-1a over the raw bit patterns of a canonical point stream — the
 /// transcript's content fingerprint. Bitwise, not approximate: two runs
 /// agree on a checkpoint iff every coordinate is identical.
-uint64_t MixBytes(uint64_t hash, uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (value >> (8 * i)) & 0xffu;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 uint64_t PointsChecksum(const std::vector<geo::Point2>& points) {
-  uint64_t hash = 1469598103934665603ull;
+  uint64_t hash = kTranscriptSeed;
   for (const geo::Point2& p : points) {
-    hash = MixBytes(hash, std::bit_cast<uint64_t>(p.x()));
-    hash = MixBytes(hash, std::bit_cast<uint64_t>(p.y()));
+    hash = Fnv1aU64(hash, std::bit_cast<uint64_t>(p.x()));
+    hash = Fnv1aU64(hash, std::bit_cast<uint64_t>(p.y()));
   }
   return hash;
 }
@@ -69,6 +63,8 @@ query::QuerySpec BatteryQuery(const ShardStormConfig& config,
 struct StormRecord {
   uint64_t sequence = 0;
   uint64_t size = 0;
+  /// The cut's merged LiveCensus equals the merged walks of its views.
+  bool census_matches = false;
   std::vector<std::vector<geo::Point2>> query_results;
 };
 
@@ -78,6 +74,11 @@ StormRecord RecordSnapshot(const ShardStormConfig& config,
   StormRecord record;
   record.sequence = snapshot.sequence();
   record.size = snapshot.size();
+  spatial::Census walked;
+  for (const MultiSnapshot::Entry& entry : snapshot.entries()) {
+    walked.Merge(spatial::TakeCensus(entry.view));
+  }
+  record.census_matches = snapshot.LiveCensus() == walked;
   record.query_results.reserve(config.queries_per_snapshot);
   for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
     query::QueryResult result = Execute(
@@ -192,6 +193,13 @@ void AppendCheckpoint(const ShardStormConfig& config,
   // The final state rides along so the full trace is always verified.
   records.push_back(RecordSnapshot(config, trace_span, router.Snapshot()));
 
+  for (const StormRecord& record : records) {
+    if (!record.census_matches) {
+      return Status::Internal("live census diverged from the walked views "
+                              "at sequence " +
+                              std::to_string(record.sequence));
+    }
+  }
   std::vector<std::string> failures = runner.Map<std::string>(
       records.size(), [&config, trace_span, &records](size_t i) {
         return VerifyRecord(config, trace_span, records[i]);

@@ -65,6 +65,12 @@ struct ShardStormConfig {
   RebalanceConfig rebalance;
 };
 
+/// The start of the transcript's FNV-1a chains: each checkpoint's point
+/// checksums, and the whole transcript's fingerprint in bench_shard. It
+/// is the standard offset basis with its last decimal digit dropped, kept
+/// so the gated transcript checksums never move.
+inline constexpr uint64_t kTranscriptSeed = 1469598103934665603ull;
+
 struct ShardStormResult {
   uint64_t ops_applied = 0;
   uint64_t snapshots_verified = 0;

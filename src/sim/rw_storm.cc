@@ -42,6 +42,34 @@ void AwaitProgress(const std::atomic<uint64_t>& progress, uint64_t target) {
   }
 }
 
+/// The storm's range probes on `tree` at `sequence`, each answer sorted
+/// canonically: what a record holds and what its replay must reproduce.
+template <typename Tree>
+std::vector<std::vector<geo::Point2>> ProbeQueries(const RwStormConfig& config,
+                                                   const Tree& tree,
+                                                   uint64_t sequence) {
+  std::vector<std::vector<geo::Point2>> out;
+  out.reserve(config.queries_per_snapshot);
+  for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
+    std::vector<geo::Point2> points =
+        tree.RangeQuery(StormQueryBox(config.seed, sequence, j));
+    std::sort(points.begin(), points.end(), spatial::PointTieLess());
+    out.push_back(std::move(points));
+  }
+  return out;
+}
+
+/// The record of one pinned CowPrTree version.
+SnapshotRecord RecordSnapshot(const RwStormConfig& config,
+                              const spatial::SnapshotView2& snapshot) {
+  SnapshotRecord record;
+  record.sequence = snapshot.sequence();
+  record.size = snapshot.size();
+  record.census = snapshot.LiveCensus();
+  record.query_results = ProbeQueries(config, snapshot, record.sequence);
+  return record;
+}
+
 std::string CompareRecord(const SnapshotRecord& record, uint64_t ref_size,
                           const spatial::Census& ref_census,
                           const std::vector<std::vector<geo::Point2>>& ref_q) {
@@ -152,19 +180,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
       for (size_t i = 0; i < config.snapshots_per_reader; ++i) {
         AwaitProgress(progress, ((i + 1) * config.num_ops) /
                                     (config.snapshots_per_reader + 1));
-        spatial::SnapshotView2 snapshot = tree.Snapshot();
-        SnapshotRecord record;
-        record.sequence = snapshot.sequence();
-        record.size = snapshot.size();
-        record.census = snapshot.LiveCensus();
-        record.query_results.reserve(config.queries_per_snapshot);
-        for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
-          std::vector<geo::Point2> points = snapshot.RangeQuery(
-              StormQueryBox(config.seed, record.sequence, j));
-          std::sort(points.begin(), points.end(), spatial::PointTieLess());
-          record.query_results.push_back(std::move(points));
-        }
-        out.push_back(std::move(record));
+        out.push_back(RecordSnapshot(config, tree.Snapshot()));
       }
     });
   }
@@ -200,20 +216,7 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
     for (SnapshotRecord& record : part) records.push_back(std::move(record));
   }
   // Record the final state too, so the full trace is always verified.
-  {
-    spatial::SnapshotView2 snapshot = tree.Snapshot();
-    SnapshotRecord record;
-    record.sequence = snapshot.sequence();
-    record.size = snapshot.size();
-    record.census = snapshot.LiveCensus();
-    for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
-      std::vector<geo::Point2> points =
-          snapshot.RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-      std::sort(points.begin(), points.end(), spatial::PointTieLess());
-      record.query_results.push_back(std::move(points));
-    }
-    records.push_back(std::move(record));
-  }
+  records.push_back(RecordSnapshot(config, tree.Snapshot()));
 
   std::span<const StormOp> trace_span(trace.data(), trace.size());
   Status verified = VerifyRecords(
@@ -223,15 +226,8 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
         Status replayed = ReplayTrace(
             trace_span, static_cast<size_t>(record.sequence), &ref);
         if (!replayed.ok()) return replayed.ToString();
-        std::vector<std::vector<geo::Point2>> ref_q;
-        ref_q.reserve(record.query_results.size());
-        for (uint64_t j = 0; j < record.query_results.size(); ++j) {
-          std::vector<geo::Point2> points =
-              ref.RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-          std::sort(points.begin(), points.end(), spatial::PointTieLess());
-          ref_q.push_back(std::move(points));
-        }
-        return CompareRecord(record, ref.size(), ref.LiveCensus(), ref_q);
+        return CompareRecord(record, ref.size(), ref.LiveCensus(),
+                             ProbeQueries(config, ref, record.sequence));
       },
       runner);
   POPAN_RETURN_IF_ERROR(verified);
@@ -275,17 +271,8 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
         SnapshotRecord record;
         record.sequence = view.sequence();
         record.size = view->size();
-        view->VisitLeaves([&record](const geo::Box2&, size_t depth,
-                                    size_t occupancy) {
-          record.census.AddLeaves(occupancy, depth, 1);
-        });
-        record.query_results.reserve(config.queries_per_snapshot);
-        for (uint64_t j = 0; j < config.queries_per_snapshot; ++j) {
-          std::vector<geo::Point2> points = view->RangeQuery(
-              StormQueryBox(config.seed, record.sequence, j));
-          std::sort(points.begin(), points.end(), spatial::PointTieLess());
-          record.query_results.push_back(std::move(points));
-        }
+        record.census = spatial::TakeCensus(*view);
+        record.query_results = ProbeQueries(config, *view, record.sequence);
         out.push_back(std::move(record));
       }
     });
@@ -360,20 +347,8 @@ geo::Box2 StormQueryBox(uint64_t seed, uint64_t sequence, uint64_t index) {
             spatial::LinearPrQuadtree::BulkLoad(bounds, std::move(ref_live),
                                                 options);
         if (!ref.ok()) return ref.status().ToString();
-        spatial::Census ref_census;
-        ref->VisitLeaves([&ref_census](const geo::Box2&, size_t depth,
-                                       size_t occupancy) {
-          ref_census.AddLeaves(occupancy, depth, 1);
-        });
-        std::vector<std::vector<geo::Point2>> ref_q;
-        ref_q.reserve(record.query_results.size());
-        for (uint64_t j = 0; j < record.query_results.size(); ++j) {
-          std::vector<geo::Point2> points =
-              ref->RangeQuery(StormQueryBox(config.seed, record.sequence, j));
-          std::sort(points.begin(), points.end(), spatial::PointTieLess());
-          ref_q.push_back(std::move(points));
-        }
-        return CompareRecord(record, ref->size(), ref_census, ref_q);
+        return CompareRecord(record, ref->size(), spatial::TakeCensus(*ref),
+                             ProbeQueries(config, *ref, record.sequence));
       },
       runner);
   POPAN_RETURN_IF_ERROR(verified);

@@ -7,34 +7,7 @@
 
 namespace popan::spatial {
 
-void Census::AddLeaf(size_t occupancy, size_t depth) {
-  AddLeaves(occupancy, depth, 1);
-}
-
-void Census::AddLeaves(size_t occupancy, size_t depth, uint64_t count) {
-  if (count == 0) return;
-  if (occupancy >= count_by_occupancy_.size()) {
-    count_by_occupancy_.resize(occupancy + 1, 0);
-  }
-  count_by_occupancy_[occupancy] += count;
-  if (depth >= by_depth_.size()) {
-    by_depth_.resize(depth + 1);
-  }
-  if (occupancy >= by_depth_[depth].size()) {
-    by_depth_[depth].resize(occupancy + 1, 0);
-  }
-  by_depth_[depth][occupancy] += count;
-  leaf_count_ += count;
-  item_count_ += occupancy * count;
-}
-
 void Census::Merge(const Census& other) {
-  if (other.count_by_occupancy_.size() > count_by_occupancy_.size()) {
-    count_by_occupancy_.resize(other.count_by_occupancy_.size(), 0);
-  }
-  for (size_t i = 0; i < other.count_by_occupancy_.size(); ++i) {
-    count_by_occupancy_[i] += other.count_by_occupancy_[i];
-  }
   if (other.by_depth_.size() > by_depth_.size()) {
     by_depth_.resize(other.by_depth_.size());
   }
@@ -46,13 +19,14 @@ void Census::Merge(const Census& other) {
       by_depth_[d][i] += other.by_depth_[d][i];
     }
   }
-  leaf_count_ += other.leaf_count_;
-  item_count_ += other.item_count_;
 }
 
 uint64_t Census::CountAt(size_t occupancy) const {
-  if (occupancy >= count_by_occupancy_.size()) return 0;
-  return count_by_occupancy_[occupancy];
+  uint64_t total = 0;
+  for (const std::vector<uint64_t>& row : by_depth_) {
+    if (occupancy < row.size()) total += row[occupancy];
+  }
+  return total;
 }
 
 uint64_t Census::CountAt(size_t occupancy, size_t depth) const {
@@ -61,11 +35,31 @@ uint64_t Census::CountAt(size_t occupancy, size_t depth) const {
   return by_depth_[depth][occupancy];
 }
 
-size_t Census::MaxOccupancy() const {
-  for (size_t i = count_by_occupancy_.size(); i-- > 0;) {
-    if (count_by_occupancy_[i] != 0) return i;
+uint64_t Census::LeafCount() const {
+  uint64_t total = 0;
+  for (size_t d = 0; d < by_depth_.size(); ++d) total += LeavesAtDepth(d);
+  return total;
+}
+
+uint64_t Census::ItemCount() const {
+  uint64_t total = 0;
+  for (size_t d = 0; d < by_depth_.size(); ++d) total += ItemsAtDepth(d);
+  return total;
+}
+
+std::vector<uint64_t> Census::ByOccupancy() const {
+  std::vector<uint64_t> out;
+  for (const std::vector<uint64_t>& row : by_depth_) {
+    if (row.size() > out.size()) out.resize(row.size(), 0);
+    for (size_t i = 0; i < row.size(); ++i) out[i] += row[i];
   }
-  return 0;
+  while (!out.empty() && out.back() == 0) out.pop_back();
+  return out;
+}
+
+size_t Census::MaxOccupancy() const {
+  const size_t columns = ByOccupancy().size();
+  return columns == 0 ? 0 : columns - 1;
 }
 
 size_t Census::MaxDepth() const {
@@ -109,19 +103,20 @@ double Census::AverageOccupancyAtDepth(size_t depth) const {
 }
 
 num::Vector Census::Proportions(size_t min_size) const {
-  size_t size = std::max(min_size, count_by_occupancy_.size());
-  num::Vector out(size);
-  if (leaf_count_ == 0) return out;
-  for (size_t i = 0; i < count_by_occupancy_.size(); ++i) {
-    out[i] = static_cast<double>(count_by_occupancy_[i]) /
-             static_cast<double>(leaf_count_);
+  const std::vector<uint64_t> counts = ByOccupancy();
+  num::Vector out(std::max(min_size, counts.size()));
+  const uint64_t leaves = LeafCount();
+  if (leaves == 0) return out;
+  for (size_t i = 0; i < counts.size(); ++i) {
+    out[i] = static_cast<double>(counts[i]) / static_cast<double>(leaves);
   }
   return out;
 }
 
 double Census::AverageOccupancy() const {
-  if (leaf_count_ == 0) return 0.0;
-  return static_cast<double>(item_count_) / static_cast<double>(leaf_count_);
+  const uint64_t leaves = LeafCount();
+  if (leaves == 0) return 0.0;
+  return static_cast<double>(ItemCount()) / static_cast<double>(leaves);
 }
 
 double Census::StorageUtilization(size_t capacity) const {
@@ -146,12 +141,6 @@ bool PaddedEqual(const std::vector<uint64_t>& a,
 }  // namespace
 
 bool operator==(const Census& a, const Census& b) {
-  if (a.leaf_count_ != b.leaf_count_ || a.item_count_ != b.item_count_) {
-    return false;
-  }
-  if (!PaddedEqual(a.count_by_occupancy_, b.count_by_occupancy_)) {
-    return false;
-  }
   static const std::vector<uint64_t> kEmpty;
   size_t depths = std::max(a.by_depth_.size(), b.by_depth_.size());
   for (size_t d = 0; d < depths; ++d) {
@@ -164,23 +153,14 @@ bool operator==(const Census& a, const Census& b) {
   return true;
 }
 
-Census LiveHistogram::ToCensus() const {
-  Census census;
-  for (size_t d = 0; d < rows_.size(); ++d) {
-    for (size_t occ = 0; occ < rows_[d].size(); ++occ) {
-      census.AddLeaves(occ, d, rows_[d][occ]);
-    }
-  }
-  return census;
-}
-
 std::string Census::ToString() const {
+  const std::vector<uint64_t> counts = ByOccupancy();
   std::ostringstream os;
-  os << "Census{leaves=" << leaf_count_ << ", items=" << item_count_
+  os << "Census{leaves=" << LeafCount() << ", items=" << ItemCount()
      << ", avg_occupancy=" << AverageOccupancy() << ", by_occupancy=[";
-  for (size_t i = 0; i < count_by_occupancy_.size(); ++i) {
+  for (size_t i = 0; i < counts.size(); ++i) {
     if (i != 0) os << ", ";
-    os << i << ":" << count_by_occupancy_[i];
+    os << i << ":" << counts[i];
   }
   os << "]}";
   return os.str();

@@ -11,22 +11,42 @@
 namespace popan::spatial {
 
 /// A population census of a bucketing structure: how many leaves (buckets)
-/// hold 0, 1, 2, … items, overall and per depth. This is the empirical
-/// counterpart of the paper's expected distribution vector — the bridge
-/// between the data structures in this directory and the analytic model in
-/// src/core.
+/// hold 0, 1, 2, … items at each depth. This is the empirical counterpart
+/// of the paper's expected distribution vector — the bridge between the
+/// data structures in this directory and the analytic model in src/core.
+///
+/// The same type is the live census a structure keeps exact through every
+/// mutation: each elementary change (an insert into a leaf, a split, a
+/// collapse/merge) moves O(1) cells with AddLeaf/RemoveLeaf, and readers
+/// use the structure's census in place. Rows and columns grow on demand
+/// and may keep trailing zeros after removals; every statistic and
+/// equality ignore them, so LiveCensus() == TakeCensus(structure) is the
+/// invariant every owner checks. Totals are derived from the rows, which
+/// hold about a hundred cells at m = 4.
 class Census {
  public:
   Census() = default;
 
   /// Records one leaf of the given occupancy at the given depth.
-  void AddLeaf(size_t occupancy, size_t depth);
+  void AddLeaf(size_t occupancy, size_t depth) { ++Cell(occupancy, depth); }
+
+  /// Forgets one leaf AddLeaf recorded: the cell must be nonzero.
+  void RemoveLeaf(size_t occupancy, size_t depth) {
+    POPAN_DCHECK(depth < by_depth_.size() &&
+                 occupancy < by_depth_[depth].size() &&
+                 by_depth_[depth][occupancy] > 0)
+        << "census underflow at depth " << depth;
+    --by_depth_[depth][occupancy];
+  }
 
   /// Records `count` leaves of the given occupancy at the given depth in
-  /// one step — the bulk form incremental (live) censuses are built from.
-  void AddLeaves(size_t occupancy, size_t depth, uint64_t count);
+  /// one step.
+  void AddLeaves(size_t occupancy, size_t depth, uint64_t count) {
+    if (count != 0) Cell(occupancy, depth) += count;
+  }
 
-  /// Merges another census into this one (used to pool trials).
+  /// Merges another census into this one, cell by cell (pools trials and
+  /// the shards of a sharded cut).
   void Merge(const Census& other);
 
   /// Number of leaves of occupancy `i` (0 if never seen).
@@ -36,10 +56,10 @@ class Census {
   uint64_t CountAt(size_t occupancy, size_t depth) const;
 
   /// Total leaves.
-  uint64_t LeafCount() const { return leaf_count_; }
+  uint64_t LeafCount() const;
 
   /// Total items (sum of occupancy over leaves).
-  uint64_t ItemCount() const { return item_count_; }
+  uint64_t ItemCount() const;
 
   /// Largest occupancy observed (0 for an empty census).
   size_t MaxOccupancy() const;
@@ -72,56 +92,36 @@ class Census {
   /// leaf exceeds `capacity`.
   double StorageUtilization(size_t capacity) const;
 
-  /// Multi-line human-readable dump.
+  /// One-line summary: totals, average occupancy and leaves per occupancy.
   std::string ToString() const;
 
-  /// Exact equality of the recorded populations: same leaf/item totals and
-  /// the same count for every (occupancy, depth) cell. Trailing all-zero
-  /// rows/columns are ignored, so censuses built leaf-by-leaf and censuses
-  /// built from a live histogram compare equal iff they describe the same
-  /// tree. This is the check behind the LiveCensus == TakeCensus contract.
+  /// Exact equality of the recorded populations: the same count for every
+  /// (occupancy, depth) cell, so equal totals too. Trailing all-zero
+  /// rows/columns are ignored, so a census built leaf by leaf and a live
+  /// census whose cells fell back to zero compare equal iff they describe
+  /// the same tree. This is the check behind the LiveCensus == TakeCensus
+  /// contract.
   friend bool operator==(const Census& a, const Census& b);
   friend bool operator!=(const Census& a, const Census& b) {
     return !(a == b);
   }
 
  private:
-  // count_by_occupancy_[i] = number of leaves holding exactly i items.
-  std::vector<uint64_t> count_by_occupancy_;
-  // by_depth_[d][i] = number of leaves at depth d holding i items.
-  std::vector<std::vector<uint64_t>> by_depth_;
-  uint64_t leaf_count_ = 0;
-  uint64_t item_count_ = 0;
-};
-
-/// The live occupancy-by-depth histogram a structure keeps exact through
-/// every mutation: count(depth, occ) = leaves (buckets) at `depth` holding
-/// exactly `occ` items. Each elementary change (an insert into a leaf, a
-/// split, a collapse/merge) moves O(1) counts, so ToCensus() is
-/// O(depths x occupancies) independent of the number of items. Rows and
-/// columns grow on demand and may keep trailing zeros after collapses;
-/// Census equality ignores them, so ToCensus() == TakeCensus(structure)
-/// is the invariant every owner checks.
-class LiveHistogram {
- public:
-  void Add(size_t depth, size_t occupancy) {
-    if (depth >= rows_.size()) rows_.resize(depth + 1);
-    std::vector<uint64_t>& row = rows_[depth];
+  /// The (occupancy, depth) cell, growing the rows to reach it.
+  uint64_t& Cell(size_t occupancy, size_t depth) {
+    if (depth >= by_depth_.size()) by_depth_.resize(depth + 1);
+    std::vector<uint64_t>& row = by_depth_[depth];
     if (occupancy >= row.size()) row.resize(occupancy + 1, 0);
-    ++row[occupancy];
+    return row[occupancy];
   }
 
-  void Remove(size_t depth, size_t occupancy) {
-    POPAN_DCHECK(depth < rows_.size() && occupancy < rows_[depth].size() &&
-                 rows_[depth][occupancy] > 0)
-        << "live census underflow at depth" << depth;
-    --rows_[depth][occupancy];
-  }
+  /// Leaves per occupancy over all depths, without trailing zeros.
+  std::vector<uint64_t> ByOccupancy() const;
 
-  Census ToCensus() const;
-
- private:
-  std::vector<std::vector<uint64_t>> rows_;
+  // by_depth_[d][i] = number of leaves at depth d holding i items. One
+  // vector per row: a max-depth leaf can hold any number of points, so a
+  // shared stride would widen every row to that leaf's occupancy.
+  std::vector<std::vector<uint64_t>> by_depth_;
 };
 
 /// Takes the census of any structure exposing

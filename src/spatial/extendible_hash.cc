@@ -13,10 +13,8 @@ ExtendibleHash::ExtendibleHash(const ExtendibleHashOptions& options)
   POPAN_CHECK(options_.max_global_depth <= 60);
   directory_.push_back(0);
   buckets_.push_back(Bucket{});
-  live_hist_.Add(0, 0);
+  census_.AddLeaf(0, 0);
 }
-
-Census ExtendibleHash::LiveCensus() const { return live_hist_.ToCensus(); }
 
 uint64_t ExtendibleHash::PseudoKey(uint64_t key) const {
   if (options_.identity_hash) return key;
@@ -45,9 +43,9 @@ Status ExtendibleHash::Insert(uint64_t key) {
     size_t idx = DirIndex(pseudo);
     Bucket& b = buckets_[directory_[idx]];
     if (b.keys.size() < options_.bucket_capacity) {
-      live_hist_.Remove(b.local_depth, b.keys.size());
+      census_.RemoveLeaf(b.keys.size(), b.local_depth);
       b.keys.push_back(key);
-      live_hist_.Add(b.local_depth, b.keys.size());
+      census_.AddLeaf(b.keys.size(), b.local_depth);
       ++size_;
       return Status::OK();
     }
@@ -66,7 +64,7 @@ bool ExtendibleHash::SplitBucket(size_t dir_idx) {
   }
   const size_t new_local = buckets_[bi].local_depth + 1;
   POPAN_DCHECK(new_local <= global_depth_);
-  live_hist_.Remove(new_local - 1, buckets_[bi].keys.size());
+  census_.RemoveLeaf(buckets_[bi].keys.size(), new_local - 1);
 
   // New bucket takes the '1' half of the split prefix; the old keeps '0'.
   uint32_t nbi = static_cast<uint32_t>(buckets_.size());
@@ -92,8 +90,8 @@ bool ExtendibleHash::SplitBucket(size_t dir_idx) {
       buckets_[bi].keys.push_back(key);
     }
   }
-  live_hist_.Add(new_local, buckets_[bi].keys.size());
-  live_hist_.Add(new_local, buckets_[nbi].keys.size());
+  census_.AddLeaf(buckets_[bi].keys.size(), new_local);
+  census_.AddLeaf(buckets_[nbi].keys.size(), new_local);
   return true;
 }
 
@@ -119,10 +117,10 @@ Status ExtendibleHash::Erase(uint64_t key) {
   Bucket& b = buckets_[directory_[DirIndex(pseudo)]];
   auto it = std::find(b.keys.begin(), b.keys.end(), key);
   if (it == b.keys.end()) return Status::NotFound("key not stored");
-  live_hist_.Remove(b.local_depth, b.keys.size());
+  census_.RemoveLeaf(b.keys.size(), b.local_depth);
   *it = b.keys.back();
   b.keys.pop_back();
-  live_hist_.Add(b.local_depth, b.keys.size());
+  census_.AddLeaf(b.keys.size(), b.local_depth);
   --size_;
   TryMerge(pseudo);
   TryShrinkDirectory();
@@ -144,11 +142,11 @@ void ExtendibleHash::TryMerge(uint64_t pseudo) {
     if (b.keys.size() + buddy.keys.size() > options_.bucket_capacity) return;
 
     // Merge buddy into b and drop buddy.
-    live_hist_.Remove(b.local_depth, b.keys.size());
-    live_hist_.Remove(buddy.local_depth, buddy.keys.size());
+    census_.RemoveLeaf(b.keys.size(), b.local_depth);
+    census_.RemoveLeaf(buddy.keys.size(), buddy.local_depth);
     b.keys.insert(b.keys.end(), buddy.keys.begin(), buddy.keys.end());
     --b.local_depth;
-    live_hist_.Add(b.local_depth, b.keys.size());
+    census_.AddLeaf(b.keys.size(), b.local_depth);
     for (uint32_t& slot : directory_) {
       if (slot == buddy_bi) slot = bi;
     }
@@ -218,11 +216,10 @@ Status ExtendibleHash::CheckInvariants() const {
   if (keys_seen != size_) {
     return Status::Internal("size mismatch");
   }
-  const Census live = LiveCensus();
   const Census walked = TakeBucketCensus(*this);
-  if (live != walked) {
+  if (census_ != walked) {
     return Status::Internal("live census drift: walked " +
-                            walked.ToString() + " live " + live.ToString());
+                            walked.ToString() + " live " + census_.ToString());
   }
   return Status::OK();
 }

@@ -95,12 +95,11 @@ class ExtendibleHash {
     }
   }
 
-  /// Snapshot of the live occupancy-by-local-depth histogram — the same
-  /// census TakeBucketCensus(table) walks the buckets for, but assembled
-  /// in O(depths x occupancies) independent of the number of buckets. The
-  /// histogram is maintained incrementally at every insert, erase, bucket
-  /// split, and buddy merge, so per-step censuses are O(1) bookkeeping.
-  Census LiveCensus() const;
+  /// The live occupancy-by-local-depth census — the same census
+  /// TakeBucketCensus(table) walks the buckets for, maintained
+  /// incrementally at every insert, erase, bucket split, and buddy merge,
+  /// so per-step censuses are O(1) bookkeeping.
+  const Census& LiveCensus() const { return census_; }
 
   /// Average keys per bucket.
   double AverageOccupancy() const {
@@ -139,7 +138,7 @@ class ExtendibleHash {
   size_t size_ = 0;
   // Buckets by (local depth, occupancy), kept exact through every
   // mutation; CheckInvariants compares it with a bucket walk.
-  LiveHistogram live_hist_;
+  Census census_;
 };
 
 }  // namespace popan::spatial

@@ -67,9 +67,9 @@ struct PrTreeOptions {
 ///  - The read side (Contains, range / partial-match / k-NN queries, the
 ///    leaf walks, CheckInvariants) is PrTreeReader, shared verbatim with
 ///    the copy-on-write SnapshotView (pr_tree_reader.h).
-///  - The writer maintains a live occupancy-by-depth histogram, updated in
-///    O(1) at every insert/erase/split/collapse; LiveCensus() snapshots
-///    it without walking the tree. TakeCensus (a full walk) remains the
+///  - The writer maintains a live occupancy-by-depth census, updated in
+///    O(1) at every insert/erase/split/collapse; LiveCensus() returns it
+///    without walking the tree. TakeCensus (a full walk) remains the
 ///    independent cross-check, and CheckInvariants verifies both agree.
 template <size_t D>
 class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>,
@@ -203,7 +203,7 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>,
   using Writer = PrTreeWriter<PrTree<D>, Node>;
   friend Reader;
   friend Writer;
-  using Writer::live_hist_;
+  using Writer::census_;
   using Writer::size_;
 
   static const PrTreeOptions& CheckedOptions(const PrTreeOptions& options) {
@@ -429,11 +429,11 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>,
           for (size_t j = i; j < e; ++j) {
             leaf.push_back(recs[j].pt, pool_.spills());
           }
-          live_hist_.Remove(depth, 0);
-          live_hist_.Add(depth, total);
+          census_.RemoveLeaf(0, depth);
+          census_.AddLeaf(total, depth);
           size_ += total;
         } else {
-          live_hist_.Remove(depth, 0);
+          census_.RemoveLeaf(0, depth);
           const size_t placed =
               BuildSubtreeFromRun(idx, depth, cd, i, e, recs, &fallback);
           size_ += placed;
@@ -505,12 +505,12 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>,
         for (size_t j = 0; j < total; ++j) {
           leaf.push_back(merged[j].pt, pool_.spills());
         }
-        live_hist_.Remove(depth, old_occ);
-        live_hist_.Add(depth, total);
+        census_.RemoveLeaf(old_occ, depth);
+        census_.AddLeaf(total, depth);
         size_ += total - old_occ;
       } else {
         // Finalise: rebuild this leaf's subtree from the merged span.
-        live_hist_.Remove(depth, old_occ);
+        census_.RemoveLeaf(old_occ, depth);
         leaf.clear(pool_.spills());
         const size_t placed = BuildSubtreeFromRun(
             idx, depth, cd, 0, total, merged, &fallback);
@@ -544,11 +544,11 @@ class PrTree : public PrTreeReader<PrTree<D>, PrNode<D, NodeIndex>>,
       for (size_t j = b; j < e; ++j) {
         node.push_back(recs[j].pt, pool_.spills());
       }
-      live_hist_.Add(depth, count);
+      census_.AddLeaf(count, depth);
       return count;
     }
     if (depth >= cd) {
-      live_hist_.Add(depth, 0);
+      census_.AddLeaf(0, depth);
       for (size_t j = b; j < e; ++j) fallback->push_back(recs[j].pt);
       return 0;
     }

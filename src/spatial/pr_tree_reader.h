@@ -333,7 +333,7 @@ static_assert(sizeof(PrNode<2, const void*>) ==
 ///   Child Root() const;                  the root handle
 ///   const Node& NodeAt(Child) const;     handle -> node
 ///   const BoxT& bounds() const;  size_t size(), LeafCount(),
-///   capacity(), max_depth() const;  Census LiveCensus() const;
+///   capacity(), max_depth() const;  const Census& LiveCensus() const;
 ///
 /// Traversals are iterative (explicit stacks, children pushed in reverse
 /// so quadrant 0 pops first: preorder Z order) and allocation-local, so
@@ -601,7 +601,7 @@ class PrTreeReader {
     if (leaves_seen != self().LeafCount()) {
       return Status::Internal("leaf count mismatch");
     }
-    const Census live = self().LiveCensus();
+    const Census& live = self().LiveCensus();
     const Census walked = TakeCensus(self());
     if (live != walked) {
       return Status::Internal("live census drift: walked " +

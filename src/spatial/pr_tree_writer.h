@@ -23,7 +23,7 @@ namespace popan::spatial {
 /// always the minimal decomposition of its contents.
 ///
 /// The writer owns the size and leaf counters, the live occupancy-by-depth
-/// histogram (O(1) cells per elementary step) and the scratch vectors.
+/// census (O(1) cells per elementary step) and the scratch vectors.
 /// Derived supplies bounds(), capacity(), max_depth() and the node
 /// lifecycle (the hooks may be private, with this class a friend):
 ///   Child Root() const;                   the root handle
@@ -57,11 +57,11 @@ class PrTreeWriter {
   /// only leaves are counted in the population censuses).
   size_t LeafCount() const { return leaf_count_; }
 
-  /// Snapshot of the live occupancy-by-depth histogram: the census
-  /// TakeCensus walks the tree for, assembled in O(depths x occupancies)
-  /// independent of the number of points, so per-step censuses (and the
-  /// shard balancer's per-check poll) never touch a point.
-  Census LiveCensus() const { return live_hist_.ToCensus(); }
+  /// The live occupancy-by-depth census: the census TakeCensus walks the
+  /// tree for, kept exact at O(1) cells per elementary step, so per-step
+  /// censuses (and the shard balancer's per-check poll) never touch a
+  /// point.
+  const Census& LiveCensus() const { return census_; }
 
   /// Inserts `p`. Returns OutOfRange if p is outside the root block and
   /// AlreadyExists if an equal point is already stored; a failed insert
@@ -75,10 +75,10 @@ class PrTreeWriter {
     if (Find(p) != n) return Status::AlreadyExists("duplicate point");
     self().CopyPath(path_);
     const size_t depth = path_.size() - 1;
-    live_hist_.Remove(depth, n);
+    census_.RemoveLeaf(n, depth);
     if (n < self().capacity() || depth >= self().max_depth()) {
       Mutable(path_.back()).push_back(p, self().Spills());
-      live_hist_.Add(depth, n + 1);
+      census_.AddLeaf(n + 1, depth);
     } else {
       SplitCascade(box, depth, p);
     }
@@ -100,8 +100,8 @@ class PrTreeWriter {
     self().CopyPath(path_);
     const size_t depth = path_.size() - 1;
     Mutable(path_.back()).SwapRemoveAt(found, self().Spills());
-    live_hist_.Remove(depth, n);
-    live_hist_.Add(depth, n - 1);
+    census_.RemoveLeaf(n, depth);
+    census_.AddLeaf(n - 1, depth);
     --size_;
     // Deepest first. A level that fails to collapse stays internal, so no
     // shallower ancestor can have all-leaf children either: stop there.
@@ -120,8 +120,8 @@ class PrTreeWriter {
   void ResetCounters() {
     size_ = 0;
     leaf_count_ = 1;
-    live_hist_ = LiveHistogram();
-    live_hist_.Add(0, 0);
+    census_ = Census();
+    census_.AddLeaf(0, 0);
   }
 
   /// Pre-sizes the scratch vectors so the hot paths never allocate.
@@ -160,7 +160,7 @@ class PrTreeWriter {
 
   size_t size_ = 0;
   size_t leaf_count_ = 1;
-  LiveHistogram live_hist_;
+  Census census_;
 
  private:
   Derived& self() { return static_cast<Derived&>(*this); }
@@ -208,7 +208,7 @@ class PrTreeWriter {
     split_points_.push_back(p);
     for (;;) {
       const std::array<Child, kFanout> ch = SplitNode(c);
-      for (size_t q = 0; q < kFanout; ++q) live_hist_.Add(depth + 1, 0);
+      for (size_t q = 0; q < kFanout; ++q) census_.AddLeaf(0, depth + 1);
       std::array<size_t, kFanout> counts{};
       size_t sole = kFanout;  // the quadrant holding every point, if any
       split_codes_.clear();
@@ -221,7 +221,7 @@ class PrTreeWriter {
         c = ch[sole];
         box = box.Quadrant(sole);
         ++depth;
-        live_hist_.Remove(depth, 0);  // this fresh leaf splits next turn
+        census_.RemoveLeaf(0, depth);  // this fresh leaf splits next turn
         continue;
       }
       // The points scatter (or the children sit at max_depth and absorb
@@ -232,8 +232,8 @@ class PrTreeWriter {
       }
       for (size_t q = 0; q < kFanout; ++q) {
         if (counts[q] != 0) {
-          live_hist_.Remove(depth + 1, 0);
-          live_hist_.Add(depth + 1, counts[q]);
+          census_.RemoveLeaf(0, depth + 1);
+          census_.AddLeaf(counts[q], depth + 1);
         }
       }
       return;
@@ -256,13 +256,13 @@ class PrTreeWriter {
     node.MakeLeaf();
     for (Child c : ch) {
       const Node& child = At(c);
-      live_hist_.Remove(level + 1, child.size());
+      census_.RemoveLeaf(child.size(), level + 1);
       for (size_t i = 0, n = child.size(); i < n; ++i) {
         node.push_back(child.Get(i), self().Spills());
       }
       self().FreeNode(c, c == path_[level + 1]);
     }
-    live_hist_.Add(level, total);
+    census_.AddLeaf(total, level);
     leaf_count_ -= kFanout - 1;
     return true;
   }

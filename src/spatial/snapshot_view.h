@@ -73,9 +73,9 @@ static_assert(sizeof(void*) != 8 ||
 /// pinned reader can reach them (epoch.h has the full memory-ordering
 /// argument).
 ///
-/// Each Version carries the occupancy-by-depth histogram at its sequence
-/// number, so SnapshotView::LiveCensus() is O(depths x occupancies) and
-/// bitwise identical to a stop-the-world census of the same prefix of
+/// Each Version carries the occupancy-by-depth census at its sequence
+/// number, so SnapshotView::LiveCensus() reads it in place, bitwise
+/// identical to a stop-the-world census of the same prefix of
 /// operations — the storm tests' core assertion.
 ///
 /// Threading contract: Insert/Erase, BeginRun/EndRun, the writer-side
@@ -109,7 +109,7 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
     Version* v = new Version;
     v->root = root_;
     v->sequence = initial_sequence;
-    v->hist = this->live_hist_;
+    v->census = this->census_;
     head_.store(v, std::memory_order_seq_cst);
   }
 
@@ -225,7 +225,7 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
     size_t size = 0;
     size_t leaf_count = 1;
     /// The writer's live census, frozen per version.
-    LiveHistogram hist;
+    Census census;
   };
 
   // ---- Node lifecycle (see PrTreeWriter): path copies, epoch retire --
@@ -351,7 +351,7 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
     v->sequence = sequence_;
     v->size = this->size_;
     v->leaf_count = this->leaf_count_;
-    v->hist = this->live_hist_;
+    v->census = this->census_;
     head_.store(v, std::memory_order_seq_cst);
     epochs_.RetireObject(old);
     epochs_.AdvanceEpoch();
@@ -402,8 +402,9 @@ class SnapshotView : public PrTreeReader<SnapshotView<D>, CowNode<D>> {
   size_t LeafCount() const { return version_->leaf_count; }
 
   /// The pinned version's census — bitwise identical to TakeCensus of a
-  /// stop-the-world tree built from the same operation prefix.
-  Census LiveCensus() const { return version_->hist.ToCensus(); }
+  /// stop-the-world tree built from the same operation prefix. It lives
+  /// in the version, so it stays valid while this view does.
+  const Census& LiveCensus() const { return version_->census; }
 
  private:
   friend class CowPrTree<D>;

@@ -42,11 +42,18 @@ bool ReadTokens(std::istream* in, std::vector<std::string>* tokens,
   return value;
 }
 
-uint64_t Fnv1a(const void* data, size_t size) {
+uint64_t Fnv1a(const void* data, size_t size, uint64_t hash) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t hash = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+uint64_t Fnv1aU64(uint64_t hash, uint64_t value) {
+  for (size_t i = 0; i < 8; ++i) {
+    hash ^= (value >> (8 * i)) & 0xffu;
     hash *= 0x100000001b3ULL;
   }
   return hash;

@@ -34,12 +34,21 @@ bool ReadTokens(std::istream* in, std::vector<std::string>* tokens,
 /// none of the on-disk formats admit.
 [[nodiscard]] StatusOr<double> ParseDouble(const std::string& s);
 
-/// FNV-1a over a byte buffer — the checksum primitive behind WAL records
-/// and snapshot trailers.
-uint64_t Fnv1a(const void* data, size_t size);
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a over a byte buffer — the checksum primitive behind WAL records,
+/// snapshot trailers and the deterministic transcripts. `hash` is the
+/// running hash to continue, so hashing a buffer in pieces equals one
+/// pass over the whole.
+uint64_t Fnv1a(const void* data, size_t size, uint64_t hash = kFnv1aBasis);
 inline uint64_t Fnv1a(const std::string& s) {
   return Fnv1a(s.data(), s.size());
 }
+
+/// Continues the running FNV-1a `hash` over the 8 bytes of `value`, low
+/// byte first.
+uint64_t Fnv1aU64(uint64_t hash, uint64_t value);
 
 /// RAII guard that restores a stream's format flags and precision on
 /// destruction, so formatted writers (std::setprecision(17) and friends)

@@ -6,6 +6,7 @@
 
 #include "server/shard_store.h"
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -15,12 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/query_model.h"
 #include "geometry/box.h"
 #include "geometry/point.h"
 #include "server/cow_store.h"
 #include "server/protocol.h"
 #include "server/server_core.h"
 #include "shard/router.h"
+#include "spatial/census.h"
 #include "spatial/pr_tree.h"
 #include "testing/server_testing.h"
 #include "testing/statusor_testing.h"
@@ -148,6 +151,54 @@ TEST(ShardBackendTest, QueriesMatchSingleTreeAcrossSplitsAndMerges) {
   EXPECT_GT(Ask(pair.sharded.get(), pair.sharded_client, range)
                 .predicted_nodes,
             0.0);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(ShardBackendTest, CensusAndPredictionEqualTheMergedWalks) {
+  BackendPair pair = MakePair();
+  Pcg32 rng(307);
+  Request insert;
+  insert.type = MsgType::kInsert;
+  for (int i = 0; i < 300; ++i) {
+    insert.point = Point2(rng.NextDouble(), rng.NextDouble());
+    Ask(pair.sharded.get(), pair.sharded_client, insert);
+    if (i == 100) {
+      ASSERT_TRUE(pair.router->SplitShard(0).ok());
+    }
+    if (i == 200) {
+      ASSERT_TRUE(pair.router->SplitShard(1).ok());
+    }
+  }
+  ASSERT_GT(pair.router->shard_count(), 2u);
+
+  // What the answers must carry, from fresh walks of the pinned shards.
+  const shard::MultiSnapshot cut = pair.router->Snapshot();
+  spatial::Census walked;
+  for (const shard::MultiSnapshot::Entry& entry : cut.entries()) {
+    walked.Merge(spatial::TakeCensus(entry.view));
+  }
+  ASSERT_GT(walked.MaxDepth(), 0u);
+
+  Request census;
+  census.type = MsgType::kCensus;
+  const Response counted =
+      Ask(pair.sharded.get(), pair.sharded_client, census);
+  EXPECT_EQ(counted.sequence, cut.sequence());
+  EXPECT_EQ(counted.leaf_count, walked.LeafCount());
+  EXPECT_EQ(counted.max_depth, walked.MaxDepth());
+  EXPECT_EQ(Bits(counted.average_occupancy), Bits(walked.AverageOccupancy()));
+
+  Request range;
+  range.type = MsgType::kRange;
+  range.box = Box2(Point2(0.1, 0.3), Point2(0.45, 0.6));
+  const core::QueryCostModel model =
+      core::QueryCostModel::FromCensus(walked, UnitDomain());
+  const Response ranged =
+      Ask(pair.sharded.get(), pair.sharded_client, range);
+  EXPECT_EQ(Bits(ranged.predicted_nodes),
+            Bits(model.PredictRange(range.box.Extent(0), range.box.Extent(1))
+                     .nodes));
 }
 
 TEST(ShardBackendTest, WriteErrorsAndBatchAccountingMatch) {

@@ -105,6 +105,81 @@ TEST(CensusTest, MergeIntoEmpty) {
   EXPECT_EQ(a.LeafCount(), 1u);
 }
 
+TEST(CensusTest, RemoveLeafUndoesAddLeaf) {
+  Census never;
+  never.AddLeaf(1, 0);
+  never.AddLeaf(3, 2);
+  Census undone = never;
+  undone.AddLeaf(7, 9);  // a new depth row and a wider column
+  undone.AddLeaf(0, 2);
+  undone.AddLeaf(3, 2);
+  undone.RemoveLeaf(7, 9);
+  undone.RemoveLeaf(0, 2);
+  undone.RemoveLeaf(3, 2);
+  EXPECT_TRUE(undone == never);
+  EXPECT_TRUE(never == undone);
+  EXPECT_FALSE(undone != never);
+  undone.RemoveLeaf(1, 0);
+  EXPECT_TRUE(undone != never);
+  EXPECT_TRUE(never != undone);
+}
+
+TEST(CensusTest, MergeAddsCellByCellAcrossShapes) {
+  Census shallow;  // two depths, wide rows
+  shallow.AddLeaf(0, 0);
+  shallow.AddLeaf(6, 1);
+  shallow.AddLeaf(6, 1);
+  Census deep;  // five depths, narrow rows
+  deep.AddLeaf(1, 1);
+  deep.AddLeaf(6, 1);
+  deep.AddLeaf(2, 4);
+  Census merged = shallow;
+  merged.Merge(deep);
+  EXPECT_EQ(merged.CountAt(0, 0), 1u);
+  EXPECT_EQ(merged.CountAt(1, 1), 1u);
+  EXPECT_EQ(merged.CountAt(6, 1), 3u);
+  EXPECT_EQ(merged.CountAt(2, 4), 1u);
+  EXPECT_EQ(merged.CountAt(2, 2), 0u);
+  EXPECT_EQ(merged.LeafCount(), shallow.LeafCount() + deep.LeafCount());
+  EXPECT_EQ(merged.ItemCount(), shallow.ItemCount() + deep.ItemCount());
+  // The other order reaches the same cells.
+  Census reversed = deep;
+  reversed.Merge(shallow);
+  EXPECT_EQ(reversed, merged);
+}
+
+TEST(CensusTest, DerivedStatisticsFollowRemovals) {
+  Census c;
+  c.AddLeaf(0, 1);
+  c.AddLeaf(2, 1);
+  c.AddLeaf(5, 3);
+  c.AddLeaf(1, 3);
+  c.RemoveLeaf(5, 3);  // the widest column falls back to zero
+  c.RemoveLeaf(0, 1);
+  EXPECT_EQ(c.LeafCount(), 2u);
+  EXPECT_EQ(c.ItemCount(), 3u);
+  EXPECT_EQ(c.CountAt(0), 0u);
+  EXPECT_EQ(c.CountAt(1), 1u);
+  EXPECT_EQ(c.CountAt(2), 1u);
+  EXPECT_EQ(c.CountAt(5), 0u);
+  EXPECT_EQ(c.MaxOccupancy(), 2u);
+  EXPECT_EQ(c.MaxDepth(), 3u);
+  EXPECT_EQ(c.AverageOccupancy(), 1.5);
+  num::Vector p = c.Proportions();
+  ASSERT_EQ(p.size(), 3u);
+  EXPECT_EQ(p[0], 0.0);
+  EXPECT_EQ(p[1], 0.5);
+  EXPECT_EQ(p[2], 0.5);
+  EXPECT_EQ(c.Proportions(5).size(), 5u);
+  c.RemoveLeaf(1, 3);
+  c.RemoveLeaf(2, 1);
+  EXPECT_EQ(c.LeafCount(), 0u);
+  EXPECT_EQ(c.MaxOccupancy(), 0u);
+  EXPECT_EQ(c.MaxDepth(), 0u);
+  EXPECT_EQ(c.Proportions(3), num::Vector(3));
+  EXPECT_EQ(c, Census());
+}
+
 TEST(CensusTest, StorageUtilization) {
   Census c;
   c.AddLeaf(2, 0);

@@ -63,8 +63,6 @@ inline std::vector<OutFrame> DrainFrames(ServerCore* core,
 /// land.
 [[nodiscard]] inline StatusOr<std::unique_ptr<const ReadView>> Pin(
     const ServerCore& core) {
-  // store() is ServerCore's backend accessor, not an atomic store.
-  // popan-lint: allow(atomic-implicit-ordering)
   return core.store().PrepareRead();
 }
 

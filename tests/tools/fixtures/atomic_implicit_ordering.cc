@@ -24,3 +24,12 @@ int Good() {
   v = std::exchange(v, 3);  // free function, not an atomic op
   return v;
 }
+
+// A zero-argument accessor that happens to be called store(): every
+// atomic operation but load() takes an argument, so this stays clean.
+struct Core {
+  int& store() { return slot; }
+  int slot = 0;
+};
+
+int Accessor(Core& core) { return core.store(); }

@@ -118,6 +118,28 @@ TEST(Fnv1aTest, SensitiveToEveryByte) {
   EXPECT_NE(Fnv1a(a), Fnv1a(b));
 }
 
+TEST(Fnv1aTest, ChainedHashOverASplitBufferEqualsOnePass) {
+  const std::string whole = "a population analysis";
+  for (size_t cut = 0; cut <= whole.size(); ++cut) {
+    const uint64_t head = Fnv1a(whole.data(), cut);
+    EXPECT_EQ(Fnv1a(whole.data() + cut, whole.size() - cut, head),
+              Fnv1a(whole))
+        << "cut at " << cut;
+  }
+}
+
+TEST(Fnv1aTest, U64FoldsTheLittleEndianBytes) {
+  const uint64_t value = 0x0123456789abcdefULL;
+  unsigned char bytes[8];
+  for (size_t i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<unsigned char>(value >> (8 * i));
+  }
+  EXPECT_EQ(Fnv1aU64(kFnv1aBasis, value), Fnv1a(bytes, sizeof(bytes)));
+  const uint64_t running = Fnv1a(std::string("foobar"));
+  EXPECT_EQ(Fnv1aU64(running, value),
+            Fnv1a(bytes, sizeof(bytes), running));
+}
+
 TEST(StreamFormatGuardTest, RestoresFlagsAndPrecision) {
   std::ostringstream os;
   {

@@ -891,7 +891,9 @@ class Linter {
   void CheckAtomicImplicitOrdering() {
     // Every std::atomic operation spells its memory_order. The argument
     // list may span lines (compare_exchange_strong usually does), so scan
-    // forward to the balanced ')' before deciding.
+    // forward to the balanced ')' before deciding. Every operation but
+    // load() takes an argument, so an empty `.store()` is some other
+    // class's accessor, not an atomic.
     static const char* const kOps[] = {
         "load",        "store",
         "exchange",    "fetch_add",
@@ -915,6 +917,11 @@ class Linter {
             continue;
           }
           if (ArgsContain(li, open, "memory_order")) continue;
+          const size_t close = SkipSpaces(code, open + 1);
+          if (std::string(op) != "load" && close < code.size() &&
+              code[close] == ')') {
+            continue;
+          }
           Report("atomic-implicit-ordering", li,
                  "atomic ." + std::string(op) +
                      "() without an explicit std::memory_order; implicit "
