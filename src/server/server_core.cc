@@ -76,8 +76,8 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
   if (it == clients_.end()) {
     return Status::NotFound("unknown client " + std::to_string(client_id));
   }
-  it->second.inbox.append(bytes.data(), bytes.size());
-  std::string& outbox = it->second.outbox;
+  ClientState* client = &it->second;
+  client->inbox.append(bytes.data(), bytes.size());
   size_t offset = 0;
   Status frame_error;
   std::string_view payload;
@@ -88,34 +88,34 @@ Status ServerCore::ConsumeBytes(uint64_t client_id, std::string_view bytes) {
   // the run first, so responses stay in request order. Consecutive
   // writes are applied inside one store write run; any other frame ends
   // it first, so a later read sees every write before it.
-  while (NextFrame(it->second.inbox, &offset, &payload, &frame_error)) {
+  while (NextFrame(client->inbox, &offset, &payload, &frame_error)) {
     StatusOr<Request> request = DecodeRequestPayload(payload);
     if (request.ok() && IsReadKind(request.value().type)) {
       EndWriteRun();
       read_run_.push_back(std::move(request).value());
       continue;
     }
-    FlushReadRun(&outbox);
+    FlushReadRun(client);
     if (request.ok() && IsWriteKind(request.value().type)) {
       if (!write_run_open_) {
         store_->BeginWriteRun();
         write_run_open_ = true;
       }
-      outbox += EncodeResponseFrame(HandleWrite(request.value()));
+      Answer(client, HandleWrite(request.value()));
       continue;
     }
     EndWriteRun();
     // Framing is intact even when the payload is not: answer and carry on.
-    outbox += EncodeResponseFrame(
-        request.ok() ? HandleControl(client_id, request.value())
-                     : ErrorResponse(TypeOfUndecodable(payload),
-                                     request.status()));
+    Answer(client, request.ok()
+                       ? HandleControl(client_id, request.value())
+                       : ErrorResponse(TypeOfUndecodable(payload),
+                                       request.status()));
   }
   // The run's WAL records reach the OS here, before the caller can send
   // any of its acks.
   EndWriteRun();
-  FlushReadRun(&outbox);
-  it->second.inbox.erase(0, offset);
+  FlushReadRun(client);
+  client->inbox.erase(0, offset);
   return frame_error;
 }
 
@@ -125,40 +125,87 @@ void ServerCore::EndWriteRun() {
   write_run_open_ = false;
 }
 
-void ServerCore::FlushReadRun(std::string* outbox) {
+void ServerCore::Answer(ClientState* client, const Response& response) {
+  Out(client) += EncodeResponseFrame(response);
+}
+
+void ServerCore::FlushReadRun(ClientState* client) {
   if (read_run_.empty()) return;
   // One pin serves the whole run: every frame of it was decoded by this
   // ConsumeBytes call, so no write can have landed in between.
   StatusOr<std::unique_ptr<const ReadView>> view = store_->PrepareRead();
+  if (!view.ok() && read_pool_ != nullptr) {
+    // This core's own runs may hold every reader slot; each releases its
+    // pin as it completes.
+    read_pool_->Wait();
+    view = store_->PrepareRead();
+  }
+  CollectRuns(client);
   if (!view.ok()) {
     // No reader slot free: shed each read with the error.
     for (const Request& request : read_run_) {
-      *outbox += EncodeResponseFrame(ErrorResponse(request.type,
-                                                   view.status()));
+      Answer(client, ErrorResponse(request.type, view.status()));
     }
-  } else if (read_run_.size() >= 2 && read_threads_ > 0) {
-    if (read_pool_ == nullptr) {
-      read_pool_ = std::make_unique<sim::ThreadPool>(read_threads_);
-    }
-    const ReadView& pinned = *view.value();
-    const std::vector<Request>& run = read_run_;
-    std::vector<std::string> frames(run.size());
-    read_pool_->ParallelFor(run.size(), [&pinned, &run, &frames](size_t i) {
-      frames[i] = EncodeResponseFrame(pinned.Complete(run[i]));
-    });
-    for (const std::string& frame : frames) *outbox += frame;
+  } else if (read_threads_ > 0 &&
+             (read_run_.size() >= 2 || !client->runs.empty())) {
+    StartRun(client, std::move(view).value());
   } else {
     for (const Request& request : read_run_) {
-      *outbox += EncodeResponseFrame(view.value()->Complete(request));
+      Answer(client, view.value()->Complete(request));
     }
   }
   read_run_.clear();
+}
+
+void ServerCore::StartRun(ClientState* client,
+                          std::unique_ptr<const ReadView> view) {
+  if (read_pool_ == nullptr) {
+    read_pool_ = std::make_unique<sim::ThreadPool>(read_threads_);
+  }
+  auto run = std::make_shared<PooledRun>();
+  run->view = std::move(view);
+  run->requests.swap(read_run_);
+  run->frames.resize(run->requests.size());
+  run->reads_left.store(run->requests.size(), std::memory_order_relaxed);
+  client->runs.push_back(run);
+  for (size_t i = 0; i < run->requests.size(); ++i) {
+    read_pool_->Submit([this, run, i] { CompleteRead(run.get(), i); });
+  }
+}
+
+void ServerCore::CompleteRead(PooledRun* run, size_t i) {
+  run->frames[i] = EncodeResponseFrame(run->view->Complete(run->requests[i]));
+  if (run->reads_left.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
+  size_t total = 0;
+  for (const std::string& frame : run->frames) total += frame.size();
+  run->bytes.reserve(total);
+  for (const std::string& frame : run->frames) run->bytes += frame;
+  run->frames = {};
+  run->view.reset();  // the pin goes with the run's last read
+  run->done.store(true, std::memory_order_release);
+  if (reads_done_) reads_done_();
+}
+
+void ServerCore::CollectRuns(ClientState* client) {
+  while (!client->runs.empty() &&
+         client->runs.front()->done.load(std::memory_order_acquire)) {
+    PooledRun& head = *client->runs.front();
+    for (std::string* bytes : {&head.bytes, &head.after}) {
+      if (client->outbox.empty()) {
+        client->outbox.swap(*bytes);
+      } else {
+        client->outbox += *bytes;
+      }
+    }
+    client->runs.pop_front();
+  }
 }
 
 std::string ServerCore::TakeOutput(uint64_t client_id) {
   popan::AssumeRole command(command_role_);
   auto it = clients_.find(client_id);
   if (it == clients_.end()) return std::string();
+  CollectRuns(&it->second);
   return std::exchange(it->second.outbox, std::string());
 }
 
@@ -166,9 +213,24 @@ std::vector<uint64_t> ServerCore::ClientsWithOutput() const {
   popan::AssumeRole command(command_role_);
   std::vector<uint64_t> ids;
   for (const auto& [id, state] : clients_) {
-    if (!state.outbox.empty()) ids.push_back(id);
+    if (!state.outbox.empty() ||
+        (!state.runs.empty() &&
+         state.runs.front()->done.load(std::memory_order_acquire))) {
+      ids.push_back(id);
+    }
   }
   return ids;
+}
+
+void ServerCore::WaitForReads() {
+  popan::AssumeRole command(command_role_);
+  if (read_pool_ != nullptr) read_pool_->Wait();
+}
+
+void ServerCore::SetReadsDoneCallback(std::function<void()> callback) {
+  popan::AssumeRole command(command_role_);
+  if (read_pool_ != nullptr) read_pool_->Wait();
+  reads_done_ = std::move(callback);
 }
 
 Response ServerCore::HandleWrite(const Request& request) {
@@ -253,7 +315,7 @@ void ServerCore::NotifyWrite(char op, const geo::Point2& p,
     notification.op = op;
     notification.point = p;
     notification.sequence = sequence;
-    client->second.outbox += EncodeNotificationFrame(notification);
+    Out(&client->second) += EncodeNotificationFrame(notification);
     ++notifications_sent_;
   }
 }

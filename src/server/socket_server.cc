@@ -45,6 +45,7 @@ SocketServer::SocketServer(ServerCore* core, size_t max_pending_out)
 SocketServer::~SocketServer() {
   // Destruction implies Serve() has returned; the command role is free.
   popan::AssumeRole command(command_role_);
+  core_->SetReadsDoneCallback(nullptr);
   for (auto& [fd, conn] : connections_) {
     ::close(fd);
     (void)conn;
@@ -58,7 +59,11 @@ StatusOr<uint16_t> SocketServer::Listen(uint16_t port) {
   popan::AssumeRole command(command_role_);
   POPAN_CHECK(listen_fd_ < 0) << "Listen called twice";
   if (::pipe(wake_pipe_) != 0) return ErrnoStatus("pipe");
-  if (!SetNonBlocking(wake_pipe_[0])) return ErrnoStatus("pipe fcntl");
+  // Neither end may block: the poll loop drains until empty, and a
+  // writer that finds the pipe full has a wake pending already.
+  if (!SetNonBlocking(wake_pipe_[0]) || !SetNonBlocking(wake_pipe_[1])) {
+    return ErrnoStatus("pipe fcntl");
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return ErrnoStatus("socket");
   int one = 1;
@@ -78,6 +83,7 @@ StatusOr<uint16_t> SocketServer::Listen(uint16_t port) {
                     &len) != 0) {
     return ErrnoStatus("getsockname");
   }
+  core_->SetReadsDoneCallback([this] { WakeForReads(); });
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
@@ -102,6 +108,12 @@ Status SocketServer::Serve() {
       char buf[16];
       while (::read(wake_pipe_[0], buf, sizeof(buf)) > 0) {
       }
+      // After the drain, never before: a run that completes from here on
+      // writes a fresh byte, and one that completed earlier is collected
+      // below. Cleared first, a run completing between the drain and the
+      // collection would find the flag set, write nothing, and stall its
+      // client until some other event woke the loop.
+      reads_woken_.exchange(false, std::memory_order_acq_rel);
     }
     if ((fds[0].revents & POLLIN) != 0) AcceptNew();
     std::vector<int> dead;
@@ -114,15 +126,16 @@ Status SocketServer::Serve() {
         alive = ReadFrom(conn);
       }
       if (alive) {
-        conn->pending_out += core_->TakeOutput(conn->client_id);
+        TakeCoreOutput(conn);
         alive = FlushTo(conn);
       }
       if (!alive) dead.push_back(fds[i].fd);
     }
     // Writes by one connection can queue notifications for another whose
-    // socket is idle this round; push those out too.
+    // socket is idle this round, and read runs complete off this thread;
+    // push those out too.
     for (auto& [fd, conn] : connections_) {
-      conn.pending_out += core_->TakeOutput(conn.client_id);
+      TakeCoreOutput(&conn);
       if (!conn.pending_out.empty() && !FlushTo(&conn)) {
         dead.push_back(fd);
       }
@@ -134,11 +147,12 @@ Status SocketServer::Serve() {
 }
 
 void SocketServer::DrainOutput() {
+  core_->WaitForReads();
   for (;;) {
     std::vector<pollfd> fds;
     std::vector<int> dead;
     for (auto& [fd, conn] : connections_) {
-      conn.pending_out += core_->TakeOutput(conn.client_id);
+      TakeCoreOutput(&conn);
       if (!FlushTo(&conn)) {
         dead.push_back(fd);
       } else if (!conn.pending_out.empty()) {
@@ -154,12 +168,22 @@ void SocketServer::DrainOutput() {
 
 void SocketServer::RequestStop() {
   stop_requested_.store(true, std::memory_order_release);
+  WriteWakeByte();
+}
+
+void SocketServer::WriteWakeByte() {
   if (wake_pipe_[1] >= 0) {
     char byte = 'w';
     // A full pipe already guarantees a pending wakeup.
     // popan-lint: allow(status-unchecked-value)
     ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
     (void)ignored;
+  }
+}
+
+void SocketServer::WakeForReads() {
+  if (!reads_woken_.exchange(true, std::memory_order_acq_rel)) {
+    WriteWakeByte();
   }
 }
 
@@ -192,6 +216,17 @@ bool SocketServer::ReadFrom(Connection* conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
     if (errno == EINTR) continue;
     return false;
+  }
+}
+
+void SocketServer::TakeCoreOutput(Connection* conn) {
+  std::string ready = core_->TakeOutput(conn->client_id);
+  // Most rounds find nothing queued: take the core's buffer as it is
+  // rather than copy it.
+  if (conn->pending_out.empty()) {
+    conn->pending_out.swap(ready);
+  } else {
+    conn->pending_out += ready;
   }
 }
 

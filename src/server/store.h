@@ -17,10 +17,13 @@ namespace popan::server {
 /// Complete() is pure and safe on any thread — the response is a
 /// function of (view, request) only, so results are bit-identical at any
 /// thread count and writes after the pin stay invisible to it. ServerCore
-/// pins one view per run of reads and drops it before ConsumeBytes
-/// returns, so in the server no read overlaps a write. With read threads
-/// it calls Complete on that ONE view from several threads at once, so
-/// Complete must not write shared state.
+/// pins one view per run of reads. With read threads it calls Complete on
+/// that ONE view from several threads at once, so Complete must not write
+/// shared state, and a pooled run's view may still be completing while
+/// the command thread applies later writes to the backend: the view must
+/// keep its version alive and readable on its own. The worker that
+/// completes a run's last read destroys the view, so releasing the pin
+/// must be safe on any thread.
 class ReadView {
  public:
   virtual ~ReadView() = default;

@@ -559,8 +559,9 @@ Status ShardRouter::SplitShardLocked(size_t index) {
     return Status::FailedPrecondition(
         "unsplittable cluster: fewer than two points");
   }
-  POPAN_ASSIGN_OR_RETURN(spatial::SnapshotView2 view,
-                         shard->tree.TrySnapshot());
+  // Writer-side views: readers holding every slot must not stall the
+  // rebalance.
+  const spatial::SnapshotView2 view = shard->tree.WriterSnapshot();
   POPAN_ASSIGN_OR_RETURN(uint64_t split_key,
                          CensusMedianSplitKey(domain_, view));
   POPAN_CHECK(shard->range.Contains(split_key) &&
@@ -620,10 +621,8 @@ Status ShardRouter::MergeShardsLocked(size_t index) {
     left = shards_[index];
     right = shards_[index + 1];
   }
-  POPAN_ASSIGN_OR_RETURN(spatial::SnapshotView2 left_view,
-                         left->tree.TrySnapshot());
-  POPAN_ASSIGN_OR_RETURN(spatial::SnapshotView2 right_view,
-                         right->tree.TrySnapshot());
+  const spatial::SnapshotView2 left_view = left->tree.WriterSnapshot();
+  const spatial::SnapshotView2 right_view = right->tree.WriterSnapshot();
   // Left shard keys all precede right shard keys, so concatenating the
   // Z-ordered walks keeps the merged load Morton-sorted.
   std::vector<geo::Point2> points = left_view.AllPoints();
@@ -672,8 +671,7 @@ Status ShardRouter::CheckpointShard(size_t index) {
     }
     shard = shards_[index];
   }
-  POPAN_ASSIGN_OR_RETURN(spatial::SnapshotView2 view,
-                         shard->tree.TrySnapshot());
+  const spatial::SnapshotView2 view = shard->tree.WriterSnapshot();
 
   uint64_t file_id = next_file_id_++;
   std::string snap_name = SnapshotFileName(file_id);

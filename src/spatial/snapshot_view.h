@@ -205,6 +205,12 @@ class CowPrTree : public PrTreeWriter<CowPrTree<D>, CowNode<D>> {
   /// connection handlers must use, shedding the request on error.
   [[nodiscard]] StatusOr<SnapshotView<D>> TrySnapshot() const;
 
+  /// A view of the newest published version for the writer thread
+  /// itself. It takes no reader slot, so it cannot fail while readers
+  /// hold every slot: only the writer's own writes reclaim nodes, and the
+  /// view must be gone before the writer's next write to this tree.
+  [[nodiscard]] SnapshotView<D> WriterSnapshot() const;
+
   /// Verifies the newest version against a fresh walk: structural PR
   /// invariants, cached size/leaf counts, and the per-version census
   /// histogram (SnapshotView::CheckInvariants on the head). Writer thread
@@ -427,9 +433,13 @@ class SnapshotView : public PrTreeReader<SnapshotView<D>, CowNode<D>> {
 
 template <size_t D>
 Status CowPrTree<D>::CheckInvariants() const {
+  return WriterSnapshot().CheckInvariants();
+}
+
+template <size_t D>
+SnapshotView<D> CowPrTree<D>::WriterSnapshot() const {
   return SnapshotView<D>(this, head_.load(std::memory_order_relaxed),
-                         EpochManager::Pin())
-      .CheckInvariants();
+                         EpochManager::Pin());
 }
 
 template <size_t D>

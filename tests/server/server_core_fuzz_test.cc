@@ -199,6 +199,8 @@ Session Feed(ServerCore* core, const std::string& stream,
     from = to;
     if (!status.ok()) break;
   }
+  core->WaitForReads();
+  session.out += core->TakeOutput(client);
   return session;
 }
 

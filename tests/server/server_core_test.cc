@@ -25,6 +25,7 @@
 #include "server/shard_store.h"
 #include "shard/router.h"
 #include "sim/thread_pool.h"
+#include "spatial/epoch.h"
 #include "spatial/pr_tree.h"
 #include "spatial/wal.h"
 #include "testing/rejecting_streambuf.h"
@@ -592,6 +593,8 @@ std::vector<std::string> RunBursts(ServerCore* core, uint64_t seed,
     }
     for (size_t k = 0; k < clients; ++k) out[k] += core->TakeOutput(ids[k]);
   }
+  core->WaitForReads();
+  for (size_t k = 0; k < clients; ++k) out[k] += core->TakeOutput(ids[k]);
   return out;
 }
 
@@ -729,6 +732,276 @@ TEST(ServerCoreTest, ReadThreadsStartOnlyForARunOfReads) {
           .ok());
   EXPECT_EQ(DrainFrames(&core, client).size(), 2u);
   EXPECT_GE(ThreadCount(), before + 3);
+}
+
+// --- Runs in flight --------------------------------------------------------
+
+/// A store for the tests below, and its router when it is sharded.
+struct TestStore {
+  std::unique_ptr<StoreBackend> backend;
+  const shard::ShardRouter* router = nullptr;
+};
+
+/// The single tree, or a sharded store that splits as it grows.
+TestStore MakeStore(bool sharded) {
+  TestStore store;
+  if (!sharded) {
+    store.backend = std::make_unique<CowTreeBackend>(UnitDomain(), SmallTree());
+    return store;
+  }
+  shard::RouterOptions options;
+  options.tree = SmallTree();
+  options.rebalance.enabled = true;
+  options.rebalance.split_cost = 3.0;
+  options.rebalance.merge_cost = 1.0;
+  options.rebalance.min_split_points = 16;
+  options.rebalance.check_interval = 8;
+  options.rebalance.max_shards = 16;
+  auto router = std::make_unique<shard::ShardRouter>(UnitDomain(), options);
+  store.router = router.get();
+  store.backend = std::make_unique<ShardStoreBackend>(std::move(router));
+  return store;
+}
+
+/// Drives `core` like RunBursts, but feeds each burst in up to four
+/// ConsumeBytes calls and, after every call, takes every client's output
+/// without waiting for the read runs in flight. A client that
+/// ClientsWithOutput lists must get bytes from its take. Waits and takes
+/// once more at the end.
+std::vector<std::string> TakeWithoutWaiting(ServerCore* core, uint64_t seed,
+                                            size_t clients, size_t bursts) {
+  Pcg32 rng(seed);
+  std::vector<uint64_t> ids;
+  for (size_t c = 0; c < clients; ++c) ids.push_back(core->OpenClient());
+  std::vector<std::string> out(clients);
+  std::vector<Point2> written;
+  uint64_t subscribes = 0;
+  for (size_t b = 0; b < bursts; ++b) {
+    size_t c = rng.NextBounded(static_cast<uint32_t>(clients));
+    Mix mix = static_cast<Mix>(rng.NextBounded(3));
+    std::string burst;
+    for (uint32_t n = 1 + rng.NextBounded(24); n > 0; --n) {
+      burst += RandomFrame(&rng, mix, &written, &subscribes);
+    }
+    std::vector<size_t> cuts = {burst.size()};
+    for (uint32_t n = rng.NextBounded(4); n > 0; --n) {
+      cuts.push_back(rng.NextBounded(static_cast<uint32_t>(burst.size())));
+    }
+    std::sort(cuts.begin(), cuts.end());
+    size_t from = 0;
+    for (size_t to : cuts) {
+      const std::string_view piece =
+          std::string_view(burst).substr(from, to - from);
+      EXPECT_TRUE(core->ConsumeBytes(ids[c], piece).ok());
+      from = to;
+      const std::vector<uint64_t> ready = core->ClientsWithOutput();
+      for (size_t k = 0; k < clients; ++k) {
+        const std::string taken = core->TakeOutput(ids[k]);
+        if (std::find(ready.begin(), ready.end(), ids[k]) != ready.end()) {
+          EXPECT_FALSE(taken.empty()) << "client " << k;
+        }
+        out[k] += taken;
+      }
+    }
+  }
+  core->WaitForReads();
+  for (size_t k = 0; k < clients; ++k) out[k] += core->TakeOutput(ids[k]);
+  return out;
+}
+
+TEST(ServerCoreTest, TakesWithoutWaitingMatchSerialBytes) {
+  for (bool sharded : {false, true}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      std::vector<std::string> serial;
+      for (size_t threads : {0, 1, 3}) {
+        ServerCore core(MakeStore(sharded).backend, threads);
+        std::vector<std::string> out = TakeWithoutWaiting(&core, seed, 3, 60);
+        if (threads == 0) {
+          serial = std::move(out);
+          continue;
+        }
+        for (size_t c = 0; c < serial.size(); ++c) {
+          EXPECT_TRUE(out[c] == serial[c])
+              << (sharded ? "sharded" : "single tree") << " seed " << seed
+              << " threads " << threads << " client " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServerCoreTest, RunInFlightMissesLaterWritesAndPrecedesTheirNotices) {
+  const Box2 watched(Point2(0.0, 0.0), Point2(0.5, 0.5));
+  for (bool sharded : {false, true}) {
+    std::string want_a;
+    std::string want_b;
+    for (size_t threads : {0, 1, 3}) {
+      SCOPED_TRACE(testing::Message()
+                   << (sharded ? "sharded" : "single tree") << ", "
+                   << threads << " read threads");
+      Gate gate;
+      if (threads == 0) gate.Open();  // inline reads must not wait
+      TestStore store = MakeStore(sharded);
+      ServerCore core(
+          std::make_unique<GatedBackend>(std::move(store.backend), &gate),
+          threads);
+      const uint64_t a = core.OpenClient();
+      const uint64_t b = core.OpenClient();
+      Pcg32 rng(23);
+      std::string preload;
+      for (int i = 0; i < 100; ++i) {
+        preload += Frame(Insert(rng.NextDouble(), rng.NextDouble()));
+      }
+      ASSERT_TRUE(core.ConsumeBytes(b, preload).ok());
+      std::string out_b = core.TakeOutput(b);
+      const uint64_t pinned_at = core.sequence();
+      Request subscribe;
+      subscribe.type = MsgType::kSubscribe;
+      subscribe.box = watched;
+      std::string run = Frame(subscribe);
+      std::vector<Box2> boxes;
+      for (int i = 0; i < 32; ++i) {
+        const double x = rng.NextDouble(0.0, 0.4);
+        const double y = rng.NextDouble(0.0, 0.4);
+        boxes.emplace_back(Point2(x, y), Point2(x + 0.1, y + 0.1));
+        run += Frame(Range(boxes.back()));
+      }
+      // No ASSERT until the gate opens: an early return would leave the
+      // core's workers waiting on it in the core's destructor.
+      EXPECT_TRUE(core.ConsumeBytes(a, run).ok());
+      std::string out_a = core.TakeOutput(a);
+      // B's writes land inside A's boxes while A's run is in flight.
+      const uint64_t splits = sharded ? store.router->splits() : 0;
+      std::vector<Point2> later;
+      std::string writes;
+      for (int i = 0; i < 64; ++i) {
+        later.emplace_back(rng.NextDouble(0.0, 0.5), rng.NextDouble(0.0, 0.5));
+        writes += Frame(Insert(later.back().x(), later.back().y()));
+      }
+      EXPECT_TRUE(core.ConsumeBytes(b, writes).ok());
+      out_b += core.TakeOutput(b);
+      if (threads > 0) {
+        // A's answers, and its notices behind them, are held back.
+        const std::vector<uint64_t> ready = core.ClientsWithOutput();
+        EXPECT_EQ(std::find(ready.begin(), ready.end(), a), ready.end());
+        EXPECT_TRUE(core.TakeOutput(a).empty());
+      }
+      if (sharded) {
+        EXPECT_GT(store.router->splits(), splits);
+      }
+      gate.Open();
+      core.WaitForReads();
+      out_a += core.TakeOutput(a);
+
+      size_t offset = 0;
+      std::string_view payload;
+      Status error;
+      std::vector<std::string_view> frames;
+      while (NextFrame(out_a, &offset, &payload, &error)) {
+        frames.push_back(payload);
+      }
+      ASSERT_EQ(frames.size(), 1u + 32u + 64u);
+      size_t hidden = 0;  // later points inside a box of the run
+      for (size_t i = 1; i <= 32; ++i) {
+        const Response answer = ValueOrDie(DecodeResponsePayload(frames[i]));
+        EXPECT_EQ(answer.status, 0);
+        for (const Point2& p : later) {
+          if (!boxes[i - 1].Contains(p)) continue;
+          ++hidden;
+          EXPECT_EQ(std::find(answer.points.begin(), answer.points.end(), p),
+                    answer.points.end());
+        }
+      }
+      EXPECT_GT(hidden, 0u);
+      for (size_t i = 33; i < frames.size(); ++i) {
+        EXPECT_GT(ValueOrDie(DecodeNotificationPayload(frames[i])).sequence,
+                  pinned_at);
+      }
+      if (threads == 0) {
+        want_a = out_a;
+        want_b = out_b;
+        continue;
+      }
+      EXPECT_TRUE(out_a == want_a);
+      EXPECT_TRUE(out_b == want_b);
+    }
+  }
+}
+
+TEST(ServerCoreTest, MoreRunsInFlightThanReaderSlotsAreAllAnswered) {
+  constexpr size_t kClients = 100;
+  static_assert(kClients > spatial::EpochManager::kMaxReaders);
+  for (bool sharded : {false, true}) {
+    for (size_t threads : {1, 3}) {
+      SCOPED_TRACE(testing::Message()
+                   << (sharded ? "sharded" : "single tree") << ", "
+                   << threads << " read threads");
+      Gate gate;
+      auto gated =
+          std::make_unique<GatedBackend>(MakeStore(sharded).backend, &gate);
+      const GatedBackend* backend = gated.get();
+      ServerCore core(std::move(gated), threads);
+      Pcg32 rng(29);
+      Request batch;
+      batch.type = MsgType::kInsertBatch;
+      for (int i = 0; i < 200; ++i) batch.batch.push_back(RandomPoint(&rng));
+      const uint64_t loader = core.OpenClient();
+      ASSERT_TRUE(core.ConsumeBytes(loader, Frame(batch)).ok());
+      (void)DrainFrames(&core, loader);
+      // Every run holds its pin until the gate opens, which the first pin
+      // that finds no slot free does.
+      std::vector<uint64_t> ids;
+      for (size_t c = 0; c < kClients; ++c) {
+        ids.push_back(core.OpenClient());
+        Request census;
+        census.type = MsgType::kCensus;
+        std::string run = Frame(census);
+        for (int i = 0; i < 3; ++i) run += Frame(Range(RandomBox(&rng, 0.3)));
+        EXPECT_TRUE(core.ConsumeBytes(ids.back(), run).ok());
+      }
+      EXPECT_GT(backend->pin_failures(), 0u);
+      gate.Open();
+      for (uint64_t id : ids) {
+        std::vector<OutFrame> frames = DrainFrames(&core, id);
+        ASSERT_EQ(frames.size(), 4u);
+        for (const OutFrame& frame : frames) {
+          EXPECT_EQ(frame.response.status, 0) << frame.response.message;
+        }
+      }
+    }
+  }
+}
+
+TEST(ServerCoreTest, ClosingAClientWithARunInFlightReleasesItsPin) {
+  for (bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "sharded" : "single tree");
+    Gate gate;
+    ServerCore core(
+        std::make_unique<GatedBackend>(MakeStore(sharded).backend, &gate), 3);
+    const uint64_t client = core.OpenClient();
+    ASSERT_TRUE(core.ConsumeBytes(client, Frame(Insert(0.25, 0.25)) +
+                                              Frame(Insert(0.75, 0.75)))
+                    .ok());
+    (void)DrainFrames(&core, client);
+    std::string run;
+    for (int i = 0; i < 8; ++i) run += Frame(Range(UnitDomain()));
+    EXPECT_TRUE(core.ConsumeBytes(client, run).ok());
+    EXPECT_TRUE(core.CloseClient(client).ok());
+    EXPECT_TRUE(core.TakeOutput(client).empty());
+    gate.Open();
+    core.WaitForReads();
+    std::vector<std::unique_ptr<const ReadView>> held;
+    for (size_t i = 0; i < spatial::EpochManager::kMaxReaders; ++i) {
+      StatusOr<std::unique_ptr<const ReadView>> pinned = Pin(core);
+      ASSERT_TRUE(pinned.ok()) << "pin " << i << ": "
+                               << pinned.status().ToString();
+      held.push_back(std::move(pinned).value());
+    }
+    held.clear();
+    // The core serves on.
+    const uint64_t other = core.OpenClient();
+    EXPECT_EQ(Ask(&core, other, Range(UnitDomain())).points.size(), 2u);
+  }
 }
 
 // --- Write runs ----------------------------------------------------------

@@ -247,6 +247,35 @@ TEST(ShardRouterTest, SnapshotExhaustionIsTypedAndRecovers) {
   EXPECT_TRUE(router.TrySnapshot().ok());
 }
 
+TEST(ShardRouterTest, SplitAndMergeNeedNoFreeReaderSlot) {
+  // Readers holding every slot used to make a split or merge fail, and
+  // the balancer skipped it; the writer now reads its own version.
+  RouterOptions options;
+  options.epoch_readers = 2;
+  ShardRouter router(Box2::UnitCube(), options);
+  for (const Point2& p : RandomPoints(83, 200, Box2::UnitCube())) {
+    ASSERT_TRUE(router.Insert(p).ok());
+  }
+  std::optional<MultiSnapshot> a(router.Snapshot());
+  std::optional<MultiSnapshot> b(router.Snapshot());
+  ASSERT_FALSE(router.TrySnapshot().ok());
+  ASSERT_TRUE(router.SplitShard(0).ok());
+  EXPECT_EQ(router.shard_count(), 2u);
+  // The new shards' slots are free; pin them too before the merge.
+  std::optional<MultiSnapshot> c(router.Snapshot());
+  std::optional<MultiSnapshot> d(router.Snapshot());
+  ASSERT_TRUE(router.MergeShards(0).ok());
+  EXPECT_EQ(router.shard_count(), 1u);
+  EXPECT_EQ(Execute(*a, query::QuerySpec::Range(Box2::UnitCube()))
+                .points.size(),
+            200u);
+  a.reset();
+  EXPECT_EQ(Execute(router.Snapshot(),
+                    query::QuerySpec::Range(Box2::UnitCube()))
+                .points.size(),
+            200u);
+}
+
 TEST(ShardRouterTest, NearestKParityAcrossShardBoundaries) {
   // Targets right on shard boundaries exercise the cross-shard candidate
   // merge; ties resolve by the canonical (distance², x, y) key.

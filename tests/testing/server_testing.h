@@ -11,12 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include "geometry/box.h"
+#include "geometry/point.h"
 #include "server/protocol.h"
 #include "server/server_core.h"
 #include "server/store.h"
 #include "testing/statusor_testing.h"
+#include "util/mutex.h"
 #include "util/status.h"
 #include "util/statusor.h"
+#include "util/thread_annotations.h"
 
 namespace popan::server {
 
@@ -31,11 +35,12 @@ inline std::string Frame(const Request& request) {
   return EncodeRequestFrame(request);
 }
 
-/// Takes everything queued for `client_id` and decodes it frame by frame;
-/// a frame that decodes as neither a response nor a notification, or a
-/// torn tail, fails the test.
+/// Waits for the core's read runs in flight, takes everything queued for
+/// `client_id` and decodes it frame by frame; a frame that decodes as
+/// neither a response nor a notification, or a torn tail, fails the test.
 inline std::vector<OutFrame> DrainFrames(ServerCore* core,
                                          uint64_t client_id) {
+  core->WaitForReads();
   std::string bytes = core->TakeOutput(client_id);
   std::vector<OutFrame> frames;
   size_t offset = 0;
@@ -81,6 +86,88 @@ inline Response Ask(ServerCore* core, uint64_t client_id,
   EXPECT_EQ(responses.size(), 1u);
   return responses.empty() ? Response() : std::move(responses.front());
 }
+
+/// A latch: Pass blocks until Open has been called, from any thread.
+class Gate {
+ public:
+  void Open() {
+    {
+      popan::MutexLock lock(mu_);
+      open_ = true;
+    }
+    opened_.NotifyAll();
+  }
+
+  void Pass() {
+    popan::MutexLock lock(mu_);
+    while (!open_) opened_.Wait(lock);
+  }
+
+ private:
+  popan::Mutex mu_;
+  popan::CondVar opened_;
+  bool open_ GUARDED_BY(mu_) = false;
+};
+
+/// A view that answers as `inner` does, once `gate` is open.
+class GatedView final : public ReadView {
+ public:
+  GatedView(std::unique_ptr<const ReadView> inner, Gate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  Response Complete(const Request& request) const override {
+    gate_->Pass();
+    return inner_->Complete(request);
+  }
+  uint64_t sequence() const override { return inner_->sequence(); }
+
+ private:
+  std::unique_ptr<const ReadView> inner_;
+  Gate* gate_;
+};
+
+/// Serves `inner` with reads that wait on `gate`, so a test can hold a
+/// core's read runs in flight while it goes on. A PrepareRead that finds
+/// no reader slot free opens the gate (the runs holding the slots can
+/// then finish) and is counted.
+class GatedBackend final : public StoreBackend {
+ public:
+  GatedBackend(std::unique_ptr<StoreBackend> inner, Gate* gate)
+      : inner_(std::move(inner)), gate_(gate) {}
+
+  const geo::Box2& bounds() const override { return inner_->bounds(); }
+  uint64_t sequence() const override { return inner_->sequence(); }
+  size_t size() const override { return inner_->size(); }
+  [[nodiscard]] StatusOr<uint64_t> ApplyInsert(
+      const geo::Point2& p) override {
+    return inner_->ApplyInsert(p);
+  }
+  [[nodiscard]] StatusOr<uint64_t> ApplyErase(
+      const geo::Point2& p) override {
+    return inner_->ApplyErase(p);
+  }
+  void BeginWriteRun() override { inner_->BeginWriteRun(); }
+  void EndWriteRun() override { inner_->EndWriteRun(); }
+  [[nodiscard]] StatusOr<std::unique_ptr<const ReadView>> PrepareRead()
+      const override {
+    StatusOr<std::unique_ptr<const ReadView>> view = inner_->PrepareRead();
+    if (!view.ok()) {
+      ++pin_failures_;
+      gate_->Open();
+      return view;
+    }
+    return std::unique_ptr<const ReadView>(
+        std::make_unique<GatedView>(std::move(view).value(), gate_));
+  }
+
+  /// PrepareRead calls that found no reader slot free.
+  size_t pin_failures() const { return pin_failures_; }
+
+ private:
+  std::unique_ptr<StoreBackend> inner_;
+  Gate* gate_;
+  mutable size_t pin_failures_ = 0;
+};
 
 }  // namespace popan::server
 
